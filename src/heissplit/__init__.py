@@ -58,8 +58,10 @@ from .polynomial import (
     Factorization,
     Poly,
     binomial,
+    binomial_roots,
     count_irreducible_factors,
     factor,
+    factor_binomial,
     field_embedding,
     is_irreducible,
     roots_in_field,

@@ -1,4 +1,4 @@
-"""Ground-truth prime counting above (t - a), by direct factorization.
+"""Ground-truth prime counting above (t - a), by factoring binomials.
 
 The degree-ell^2 abelian layer K is generated by an ell-th root u of t and
 an ell-th root v of 1 - t; its maximal order is F_p[t][u, v], so the residue
@@ -6,6 +6,15 @@ algebra at (t - a) is F_p[u, v] / (u^ell - a, v^ell - (1 - a)).  ``split_K``
 factors it directly: one prime of K per pair (irreducible factor of
 u^ell - a over F_p, irreducible factor of v^ell - (1 - a) over the residue
 field of the first factor).
+
+Every polynomial factored here is a binomial x^ell - c over a field F_q
+with ell | q - 1 (zeta lies in F_p).  ``polynomial.factor_binomial`` decides
+it with one power c^((q-1)/ell): ell linear factors when c is an ell-th
+power, irreducible otherwise (Lidl-Niederreiter, *Finite Fields*,
+Thm 3.75).  The roots come from one ell-th root r of c, certified by
+r^ell = c; the factors are certified to re-multiply to the binomial, and an
+irreducible binomial by the Rabin test.  No randomness is involved, so the
+reports do not depend on the seed, which they only record.
 
 The full cover R adjoins an ell-th root of the unit product
 eps(t) = prod (1 - zeta^i t^(1/ell))^i.  Above a K-prime with residue field
@@ -38,8 +47,7 @@ from .finite_field import (
     power_residue_symbol,
     prime_field,
 )
-from .polynomial import Poly, binomial, factor, field_embedding, roots_in_field
-from .seeds import derive_seed
+from .polynomial import binomial_roots, factor_binomial, field_embedding
 
 
 @dataclass(frozen=True)
@@ -87,15 +95,20 @@ def _check_a(ctx: Context, a: int) -> int:
     return a
 
 
-@lru_cache(maxsize=2048)
-def _k_primes(ctx: Context, a: int, seed: int) -> tuple[_KPrime, ...]:
+# Enough for split_K then split_R at one point; a scan never returns to a
+# point, so a larger cache only holds memory.
+KPRIME_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=KPRIME_CACHE_SIZE)
+def _k_primes(ctx: Context, a: int) -> tuple[_KPrime, ...]:
     """Primes of K above (t - a), with flattened residue fields.
 
     Cached so that split_K and split_R at the same point share the work.
     """
     p, ell = ctx.p, ctx.ell
     base = prime_field(p)
-    u_fac = factor(binomial(base, ell, a), derive_seed(seed, "u"))
+    u_fac = factor_binomial(base, ell, a)
     assert all(mult == 1 for _, mult in u_fac), "u^ell - a must be squarefree"
     out = []
     for iu, (u_factor, _) in enumerate(u_fac.factors):
@@ -104,10 +117,9 @@ def _k_primes(ctx: Context, a: int, seed: int) -> tuple[_KPrime, ...]:
         if m == 1:
             x_mid = base.neg(u_factor.coeffs[0])
         else:
-            lifted = Poly(mid, [mid.embed(c) for c in u_factor.coeffs])
-            x_mid = roots_in_field(lifted)[0]
-        v_poly = binomial(mid, ell, mid.embed((1 - a) % p))
-        v_fac = factor(v_poly, derive_seed(seed, "v", iu))
+            # u^ell - a is irreducible over F_p and splits over F_{p^ell}
+            x_mid = binomial_roots(mid, ell, mid.embed(a))[0]
+        v_fac = factor_binomial(mid, ell, mid.embed((1 - a) % p))
         assert all(mult == 1 for _, mult in v_fac)
         for iv, (v_factor, _) in enumerate(v_fac.factors):
             d = v_factor.degree
@@ -123,7 +135,7 @@ def _k_primes(ctx: Context, a: int, seed: int) -> tuple[_KPrime, ...]:
 def split_K(ctx: Context, a: int, seed: int) -> SplitReport:
     """Count primes of the abelian layer K above (t - a), by factorization."""
     a = _check_a(ctx, a)
-    primes = _k_primes(ctx, a, seed)
+    primes = _k_primes(ctx, a)
     degrees = tuple(sorted(kp.degree for kp in primes))
     ell = ctx.ell
     assert sum(degrees) == ell * ell, "residue degrees must sum to ell^2"
@@ -164,7 +176,7 @@ def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
     a = _check_a(ctx, a)
     ell = ctx.ell
     primes: list[PrimeTrace] = []
-    for kp in _k_primes(ctx, a, seed):
+    for kp in _k_primes(ctx, a):
         fld = kp.field
         eps = _epsilon_at(ctx, fld, kp.x_image)
         assert eps != fld.zero, "unit product cannot vanish for a != 1"
@@ -174,10 +186,7 @@ def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
         eps1 = _epsilon_at(ctx, fld, kp.x_image, shift=1)
         ratio = fld.mul(eps1, fld.inv(eps))
         assert fld.pow(ratio, (fld.order - 1) // ell) == fld.one
-        z_fac = factor(
-            binomial(fld, ell, eps),
-            derive_seed(seed, "z", kp.u_index, kp.v_index),
-        )
+        z_fac = factor_binomial(fld, ell, eps)
         assert all(mult == 1 for _, mult in z_fac)
         for iz, (z_factor, _) in enumerate(z_fac.factors):
             primes.append(

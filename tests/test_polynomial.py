@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heissplit import (
+    DivisibilityError,
+    NotPrimeError,
     NotSquarefreeError,
     Poly,
+    ZeroArgumentError,
     ZeroPolynomialError,
     binomial,
+    binomial_roots,
     build_extension,
     count_irreducible_factors,
     factor,
+    factor_binomial,
     field_embedding,
     is_irreducible,
     make_context,
@@ -154,6 +159,76 @@ class TestFactor:
             is_square = ext.pow(c, (ext.order - 1) // 2) == ext.one
             assert len(fac) == (2 if is_square else 1)
             assert fac.expand() == binomial(ext, 2, c)
+
+
+class TestFactorBinomial:
+    """The oracle's binomial engine against the generic engine."""
+
+    @pytest.mark.parametrize("p,ell", [(13, 2), (7, 3), (11, 5), (29, 7)])
+    @pytest.mark.parametrize("m", [1, 2, "ell"])
+    def test_equals_generic_factor(self, p, ell, m):
+        fld = build_extension(p, ell if m == "ell" else m)
+        rng = random.Random(f"{p}:{ell}:{m}")
+        cs = [fld.sample(rng) for _ in range(6)]
+        # a certain ell-th power and a certain non-power, so that both the
+        # split and the irreducible case are always covered
+        cs.append(fld.pow(fld.sample(rng), ell))
+        cofactor = (fld.order - 1) // ell
+        non_power = fld.zero
+        while non_power == fld.zero or fld.pow(non_power, cofactor) == fld.one:
+            non_power = fld.sample(rng)
+        cs.append(non_power)
+        shapes = set()
+        for c in cs:
+            if c == fld.zero:
+                continue
+            fac = factor_binomial(fld, ell, c)
+            assert fac == factor(binomial(fld, ell, c), seed=rng.randrange(2**32))
+            shapes.add(len(fac))
+        assert shapes == {1, ell}
+
+    @pytest.mark.parametrize("p,m,ell", [(17, 1, 2), (3, 2, 2), (19, 1, 3), (109, 1, 3)])
+    def test_deep_sylow_subgroups(self, p, m, ell):
+        # q - 1 = ell^s * t with s >= 2, and t = 1 for F_17 and F_9: the
+        # root needs the Pohlig-Hellman correction
+        fld = build_extension(p, m)
+        rng = random.Random(p)
+        cs = range(1, p) if m == 1 else [fld.sample(rng) for _ in range(12)]
+        for c in cs:
+            if c != fld.zero:
+                assert factor_binomial(fld, ell, c) == factor(binomial(fld, ell, c), seed=fld.elem_key(c))
+
+    @pytest.mark.parametrize("p,ell", [(13, 2), (7, 3), (11, 5), (29, 7)])
+    def test_roots_equal_roots_in_field(self, p, ell):
+        for m in (1, 2):
+            fld = build_extension(p, m)
+            rng = random.Random(p * m)
+            for _ in range(6):
+                c = fld.pow(fld.sample(rng), rng.choice((1, ell)))
+                if c == fld.zero:
+                    continue
+                roots = binomial_roots(fld, ell, c)
+                assert roots == roots_in_field(binomial(fld, ell, c))
+                assert all(fld.pow(r, ell) == c for r in roots)
+
+    def test_rejects_ell_not_dividing_q_minus_1(self):
+        with pytest.raises(DivisibilityError):
+            factor_binomial(F7, 5, 3)
+        with pytest.raises(DivisibilityError):
+            factor_binomial(build_extension(5, 2), 5, (1, 1))
+        with pytest.raises(DivisibilityError):
+            binomial_roots(F5, 3, 2)
+
+    def test_rejects_zero_constant(self):
+        with pytest.raises(ZeroArgumentError):
+            factor_binomial(F7, 3, 0)
+        ext = build_extension(7, 3)
+        with pytest.raises(ZeroArgumentError):
+            binomial_roots(ext, 3, ext.zero)
+
+    def test_rejects_composite_ell(self):
+        with pytest.raises(NotPrimeError):
+            factor_binomial(prime_field(13), 4, 3)
 
 
 class TestSquarefree:

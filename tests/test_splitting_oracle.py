@@ -7,12 +7,18 @@ from heissplit import (
     DegenerateValueError,
     SymbolNotTrivialError,
     WrongEllError,
+    binomial,
+    factor,
+    is_prime,
     make_context,
     power_residue_symbol,
+    roots_in_field,
     split_K,
     split_R,
     split_R2_curve,
+    splitting_oracle,
 )
+from heissplit.verification import admissible_values
 
 C13 = make_context(13, 2)
 C7 = make_context(7, 3)
@@ -128,3 +134,45 @@ class TestCurveModel:
             assert curve.prime_count == oracle.prime_count
             assert curve.residue_degrees == oracle.residue_degrees
             assert sum(curve.residue_degrees) == 8
+
+
+def _generic_points():
+    for ell, ps in ((2, range(3, 101)), (3, range(7, 101)), (5, (11, 31))):
+        for p in ps:
+            if is_prime(p) and (p - 1) % ell == 0:
+                yield p, ell
+
+
+class TestEngines:
+    @pytest.mark.parametrize("p,ell", list(_generic_points()))
+    def test_reports_equal_generic_engine(self, monkeypatch, p, ell):
+        # the binomial engine must reproduce the generic Cantor-Zassenhaus
+        # path report for report, traces included
+        ctx = make_context(p, ell)
+        values = admissible_values(ctx)
+        splitting_oracle._k_primes.cache_clear()
+        fast = [(split_K(ctx, a, 5), split_R(ctx, a, 5)) for a in values]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                splitting_oracle,
+                "factor_binomial",
+                lambda fld, n, c: factor(binomial(fld, n, c), seed=p * 1000 + n),
+            )
+            patch.setattr(
+                splitting_oracle,
+                "binomial_roots",
+                lambda fld, n, c: roots_in_field(binomial(fld, n, c)),
+            )
+            splitting_oracle._k_primes.cache_clear()
+            generic = [(split_K(ctx, a, 5), split_R(ctx, a, 5)) for a in values]
+        splitting_oracle._k_primes.cache_clear()
+        assert fast == generic
+
+    def test_kprime_cache_is_bounded(self):
+        info = splitting_oracle._k_primes.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 8
+        ctx = make_context(31, 3)
+        for a in range(2, 31):
+            split_K(ctx, a, 1)
+            split_R(ctx, a, 1)
+        assert splitting_oracle._k_primes.cache_info().currsize <= info.maxsize

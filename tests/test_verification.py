@@ -17,10 +17,12 @@ from heissplit import (
 )
 from heissplit.verification import (
     SCAN_COLUMNS,
+    admissible_values,
     block_matrix,
     determinant,
     rows_to_csv,
     rows_to_json,
+    scan_point,
     scan_rows,
     vandermonde_unit,
 )
@@ -43,6 +45,16 @@ class TestScan:
         assert len(result.records) == 5
         assert result.passed
         assert all(r.oracle_R.prime_count in (27, 9) for r in result.records)
+
+    @pytest.mark.parametrize("p,ell", [(29, 7), (43, 7), (23, 11)])
+    def test_large_ell_every_point(self, p, ell):
+        ctx = make_context(p, ell)
+        values = admissible_values(ctx)
+        assert len(values) == p - 2
+        for a in values:
+            rec = scan_point(ctx, a, seed=7)
+            assert rec.agree, a
+            assert rec.bound_ok and rec.oracle_R.prime_count in (ell**3, ell**2), a
 
     def test_summary_totals(self):
         result = verify_theorems_scan(make_context(13, 2), seed=7)
