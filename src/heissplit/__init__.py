@@ -11,6 +11,7 @@ from .errors import (
     DegenerateValueError,
     DivisibilityError,
     HeisSplitError,
+    MalformedSpecError,
     MixedModulusError,
     NoRootOfUnityError,
     NotPrimeError,
@@ -29,6 +30,7 @@ from .finite_field import (
     PrimeField,
     build_extension,
     discrete_log,
+    epsilon_value,
     is_prime,
     lth_root,
     make_context,
@@ -42,14 +44,12 @@ from .heis_arith import (
     a_ell_value,
     a_poly_eval,
     classify_a2,
-    epsilon_value,
     expand_a_poly,
     frobenius_prediction,
 )
 from .heisenberg import (
     HeisElem,
     class_label,
-    compose,
     conjugacy_classes,
     element_order,
     identity,

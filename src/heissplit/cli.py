@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import HeisSplitError
+from .errors import HeisSplitError, MalformedSpecError
 from .finite_field import Context, is_prime, make_context, power_residue_symbol
 from .heis_arith import (
     a2_value,
@@ -58,13 +58,18 @@ HISTOGRAM_COLUMNS = ("p", "ell", "label", "class_size", "observed", "expected", 
 def _parse_p_spec(spec: str) -> list[int]:
     """Expand a p list/range: "13", "13,31", "3..200" (primes in range)."""
     spec = spec.strip()
-    for sep in ("..", "-"):
-        if sep in spec and "," not in spec:
-            lo_s, hi_s = spec.split(sep, 1)
-            if lo_s and hi_s:
-                lo, hi = int(lo_s), int(hi_s)
-                return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        for sep in ("..", "-"):
+            if sep in spec and "," not in spec:
+                lo_s, hi_s = spec.split(sep, 1)
+                if lo_s and hi_s:
+                    lo, hi = int(lo_s), int(hi_s)
+                    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+        return [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise MalformedSpecError(
+            f'malformed -p {spec!r}: expected "13", "13,31" or "3..200"'
+        ) from None
 
 
 def _contexts(p_spec: str, ell: int) -> tuple[list[Context], list[str]]:

@@ -64,3 +64,7 @@ class UnsupportedEllError(HeisSplitError):
 
 class SymbolNotTrivialError(HeisSplitError):
     """A power residue symbol is nontrivial where triviality is required."""
+
+
+class MalformedSpecError(HeisSplitError):
+    """A command-line list or range of primes that does not parse."""

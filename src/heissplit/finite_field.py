@@ -12,7 +12,10 @@ Field objects are immutable after construction and all operations are pure,
 so everything here is safe to use concurrently.  Extension moduli are chosen
 deterministically (lexicographically smallest monic irreducible, reading
 coefficients from the constant term upward as base-p digits), which makes
-residue fields bit-reproducible across runs.
+residue fields bit-reproducible across runs.  ``ExtField`` certifies its
+modulus by Rabin's test run in its own arithmetic; there are no polynomial
+helpers here.  ``epsilon_value`` is the one definition of the unit product
+eps that defines the cover, shared by the criterion and the oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    DegenerateSpecializationError,
     DivisibilityError,
     NotPrimeError,
     ZeroArgumentError,
@@ -151,96 +155,6 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-# ---------------------------------------------------------------------------
-# Minimal dense-polynomial helpers over F_p (coefficient lists, ascending).
-# Only what the modulus search and extension inverses need; the full Poly
-# type lives in heissplit.polynomial and builds on the fields defined here.
-# ---------------------------------------------------------------------------
-
-
-def _pnorm(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pnorm([v % p for v in out])
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = a[:]
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) >= len(m):
-        c = a[-1] * inv_lead % p
-        if c:
-            shift = len(a) - len(m)
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _pnorm(a)
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], -1, p)
-        a = [c * inv_lead % p for c in a]
-    return a
-
-
-def _x_qpow_mod(m: list[int], p: int, reps: int) -> list[int]:
-    """x^(p^reps) modulo the monic polynomial m, over F_p."""
-    h = [0, 1]
-    h = _pmod(h, m, p)
-    for _ in range(reps):
-        acc = [1]
-        base = h
-        e = p
-        while e:
-            if e & 1:
-                acc = _pmod(_pmul(acc, base, p), m, p)
-            base = _pmod(_pmul(base, base, p), m, p)
-            e >>= 1
-        h = acc
-    return h
-
-
-def _is_irreducible_mod_p(m: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p (coefficient list)."""
-    deg = len(m) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    # x^(p^deg) == x mod m
-    h = _x_qpow_mod(m, p, deg)
-    if _pnorm([(hi - xi) % p for hi, xi in _zip_pad(h, [0, 1])]):
-        return False
-    # gcd(x^(p^(deg/r)) - x, m) == 1 for every prime r | deg
-    for r in _prime_factors(deg):
-        h = _x_qpow_mod(m, p, deg // r)
-        diff = _pnorm([(hi - xi) % p for hi, xi in _zip_pad(h, [0, 1])])
-        g = _pgcd(m[:], diff, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-
-
 class ExtField:
     """F_{p^m} as F_p[x]/(modulus); elements are m-tuples of ints.
 
@@ -256,8 +170,6 @@ class ExtField:
         m = len(modulus) - 1
         if m < 2 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 2")
-        if not _is_irreducible_mod_p(list(modulus), p):
-            raise ValueError("modulus is reducible")
         self.p = p
         self.degree = m
         self.modulus = modulus
@@ -266,6 +178,19 @@ class ExtField:
         self.one = (1,) + (0,) * (m - 1)
         # x^m = sum(tail[i] * x^i): negated lower part of the modulus
         self._tail = tuple(-modulus[i] % p for i in range(m))
+        # Rabin's test in this ring: x^(p^m) = x, and u = x^(p^(m/r)) - x is
+        # a unit for each prime r | m.  Once x^(p^m) = x holds, the ring is a
+        # product of fields F_{p^d} with d | m, so u is a unit iff
+        # u^(p^m - 1) = 1.
+        x = (0, 1) + (0,) * (m - 2)
+        frob = [x]  # frob[k] = x^(p^k)
+        for _ in range(m):
+            frob.append(self.pow(frob[-1], p))
+        if frob[m] != x or any(
+            self.pow(self.sub(frob[m // r], x), self.order - 1) != self.one
+            for r in _prime_factors(m)
+        ):
+            raise ValueError("modulus is reducible")
 
     @property
     def char(self) -> int:
@@ -304,23 +229,32 @@ class ExtField:
         return tuple(v % p for v in acc[:m])
 
     def inv(self, a):
-        if all(c == 0 for c in a):
-            raise ZeroArgumentError("inverse of zero")
         p = self.p
-        # extended Euclid in F_p[x] against the modulus
-        r0, r1 = list(self.modulus), _pnorm(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _pnorm(
-                [(x - y) % p for x, y in _zip_pad(s0, _pmul(q, s1, p))]
-            )
-        # r0 is a nonzero constant gcd
-        c = pow(r0[0], -1, p)
-        out = [x * c % p for x in s0]
-        out += [0] * (self.degree - len(out))
-        return tuple(out[: self.degree])
+        # extended Euclid against the modulus on coefficient lists (lowest
+        # degree first); both rows keep s * a = r modulo the modulus
+        r0, s0, r1, s1 = list(self.modulus), [0], list(a), [1]
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
+            raise ZeroArgumentError("inverse of zero")
+        while len(r1) > 1:
+            d = len(r1) - 1
+            inv_lead = pow(r1[-1], -1, p)
+            s0 += [0] * (len(r0) - d + len(s1) - 1 - len(s0))
+            for k in range(len(r0) - 1, d - 1, -1):  # r0 -= c x^(k-d) r1
+                c = r0[k] * inv_lead % p
+                if c:
+                    for i in range(d):
+                        r0[k - d + i] -= c * r1[i]
+                    for i, v in enumerate(s1):
+                        s0[k - d + i] -= c * v
+            rem = [v % p for v in r0[:d]]
+            while rem and not rem[-1]:
+                rem.pop()
+            r0, s0, r1, s1 = r1, s1, rem, [v % p for v in s0]
+        # the modulus is irreducible, so the last remainder is a unit
+        c = pow(r1[0], -1, p)
+        return tuple([v * c % p for v in s1] + [0] * (self.degree - len(s1)))
 
     def pow(self, a, e: int):
         acc = self.one
@@ -360,22 +294,6 @@ class ExtField:
         return f"ExtField(p={self.p}, degree={self.degree})"
 
 
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = a[:]
-    inv_lead = pow(b[-1], -1, p)
-    while len(r) >= len(b) and r:
-        c = r[-1] * inv_lead % p
-        shift = len(r) - len(b)
-        q[shift] = c
-        if c:
-            for i, bi in enumerate(b):
-                r[shift + i] = (r[shift + i] - c * bi) % p
-        r.pop()
-        _pnorm(r)
-    return _pnorm(q), r
-
-
 @lru_cache(maxsize=None)
 def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
@@ -401,10 +319,10 @@ def build_extension(p: int, m: int) -> PrimeField | ExtField:
         for _ in range(m):
             digits.append(k % p)
             k //= p
-        cand = digits + [1]
-        if _is_irreducible_mod_p(cand, p):
-            return ExtField(p, tuple(cand))
-        n += 1
+        try:
+            return ExtField(p, tuple(digits) + (1,))
+        except ValueError:  # reducible candidate
+            n += 1
 
 
 @dataclass(frozen=True)
@@ -451,13 +369,39 @@ def power_residue_symbol(ctx: Context, a: int) -> int:
     p = ctx.p
     if a % p == 0:
         raise ZeroArgumentError("power residue symbol of zero")
-    t = pow(a, ctx.cofactor, p)
+    return zeta_index(ctx, pow(a, ctx.cofactor, p))
+
+
+def zeta_index(ctx: Context, value: int) -> int:
+    """n in [0, ell) with zeta^n = value (value must be an ell-th root of 1)."""
     z = 1
     for n in range(ctx.ell):
-        if z == t:
+        if z == value:
             return n
-        z = z * ctx.zeta % p
-    raise AssertionError("a^((p-1)/ell) must be a power of zeta")
+        z = z * ctx.zeta % ctx.p
+    raise AssertionError("value is not a power of zeta")
+
+
+def epsilon_value(ctx: Context, root_x, shift: int = 0, field=None):
+    """prod_{i=1}^{ell-1} (1 - zeta^(i+shift) * root_x)^i in root_x's field.
+
+    ``field`` defaults to F_p; pass an extension to evaluate at images of
+    the root living there.  Rejects root_x = 0 and root_x^ell = 1 (the
+    specialization a = 1 where the product can degenerate).
+    """
+    fld = field if field is not None else prime_field(ctx.p)
+    if root_x == fld.zero:
+        raise ZeroArgumentError("root_x must be nonzero")
+    if fld.pow(root_x, ctx.ell) == fld.one:
+        raise DegenerateSpecializationError("root_x^ell = 1 (a = 1)")
+    zeta = fld.embed(ctx.zeta)
+    acc = fld.one
+    w = fld.pow(zeta, (1 + shift) % ctx.ell)
+    for i in range(1, ctx.ell):
+        term = fld.sub(fld.one, fld.mul(w, root_x))
+        acc = fld.mul(acc, fld.pow(term, i))
+        w = fld.mul(w, zeta)
+    return acc
 
 
 @lru_cache(maxsize=None)

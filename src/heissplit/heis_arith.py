@@ -19,7 +19,8 @@ The criterion value is A_ell(a):
 
 Both cases are polynomials in a with F_p coefficients; ``expand_a_poly``
 produces the coefficient vector and checks the cancellation that makes the
-contraction legal.
+contraction legal.  eps has one definition, ``finite_field.epsilon_value``,
+shared with the oracle: it defines the cover, not the criterion.
 """
 
 from __future__ import annotations
@@ -28,22 +29,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    DegenerateSpecializationError,
     DegenerateValueError,
     NotResidueError,
     PolynomialityViolationError,
     WrongEllError,
-    ZeroArgumentError,
 )
 from .finite_field import (
     Context,
     build_extension,
+    epsilon_value,
     lth_root,
     power_residue_symbol,
     prime_field,
+    zeta_index,
 )
 from .heisenberg import HeisElem, class_label, element_order
-from .polynomial import Poly, binomial, roots_in_field
+from .polynomial import Poly, binomial_roots
 
 # Four-way classification of A_2(a) (exactly one holds for admissible a):
 A2_UNIT = "unit"                        # A_2 = +1 or -1
@@ -59,28 +60,6 @@ A2_CASE_BY_SYMBOLS = {
     (1, 0): A2_INV_ONE_MINUS_A,
     (1, 1): A2_A_OVER_ONE_MINUS_A,
 }
-
-
-def epsilon_value(ctx: Context, root_x, shift: int = 0, field=None):
-    """prod_{i=1}^{ell-1} (1 - zeta^(i+shift) * root_x)^i in root_x's field.
-
-    ``field`` defaults to F_p; pass an extension to evaluate at images of
-    the root living there.  Rejects root_x = 0 and root_x^ell = 1 (the
-    specialization a = 1 where the product can degenerate).
-    """
-    fld = field if field is not None else prime_field(ctx.p)
-    if root_x == fld.zero:
-        raise ZeroArgumentError("root_x must be nonzero")
-    if fld.pow(root_x, ctx.ell) == fld.one:
-        raise DegenerateSpecializationError("root_x^ell = 1 (a = 1)")
-    zeta = fld.embed(ctx.zeta)
-    acc = fld.one
-    w = fld.pow(zeta, (1 + shift) % ctx.ell)
-    for i in range(1, ctx.ell):
-        term = fld.sub(fld.one, fld.mul(w, root_x))
-        acc = fld.mul(acc, fld.pow(term, i))
-        w = fld.mul(w, zeta)
-    return acc
 
 
 def _mat2_pow(m, n: int, p: int):
@@ -131,7 +110,7 @@ def a2_by_closed_form(ctx: Context, a: int) -> int:
         hi = pow((1 + root) % p, exp, p)
         return (lo + hi) * pow(2, -1, p) % p
     ext = build_extension(p, 2)
-    s = roots_in_field(binomial(ext, 2, ext.embed(a)))[0]
+    s = binomial_roots(ext, 2, ext.embed(a))[0]
     one = ext.one
     lo = ext.pow(ext.sub(one, s), exp)
     hi = ext.pow(ext.add(one, s), exp)
@@ -277,16 +256,6 @@ class FrobPrediction:
     class_label: str
 
 
-def _zeta_log(ctx: Context, value: int) -> int:
-    """n in [0, ell) with zeta^n = value (value must be an ell-th root of 1)."""
-    z = 1
-    for n in range(ctx.ell):
-        if z == value:
-            return n
-        z = z * ctx.zeta % ctx.p
-    raise AssertionError("value is not a power of zeta")
-
-
 def frobenius_prediction(ctx: Context, a: int) -> FrobPrediction:
     """Predicted number of primes above (t - a) in the degree-ell^3 cover.
 
@@ -304,6 +273,7 @@ def frobenius_prediction(ctx: Context, a: int) -> FrobPrediction:
     e_beta = power_residue_symbol(ctx, (1 - a) % p)
     both_trivial = e_alpha == 0 and e_beta == 0
 
+    case = None
     if ell == 2:
         if a == pow(2, -1, p):
             raise DegenerateValueError("a = 1/2 is excluded for ell = 2")
@@ -319,46 +289,27 @@ def frobenius_prediction(ctx: Context, a: int) -> FrobPrediction:
             assert case == A2_A_OVER_ONE_MINUS_A
             predicted = 2
             e_central = None
-        rep = HeisElem(2, e_alpha, e_beta, e_central or 0)
-        label = class_label(rep)
-        prediction = FrobPrediction(
-            p=p,
-            ell=ell,
-            a=a,
-            e_alpha=e_alpha,
-            e_beta=e_beta,
-            central_resolved=both_trivial,
-            a_value=val,
-            a2_case=case,
-            e_central=e_central,
-            predicted_count=predicted,
-            class_label=label,
-        )
+    elif both_trivial:
+        val = a_ell_value(ctx, a)
+        e_central = zeta_index(ctx, val)
+        predicted = ell**3 if e_central == 0 else ell**2
     else:
-        if both_trivial:
-            val = a_ell_value(ctx, a)
-            e_central = _zeta_log(ctx, val)
-            predicted = ell**3 if e_central == 0 else ell**2
-            rep = HeisElem(ell, 0, 0, e_central)
-        else:
-            val = None
-            e_central = None
-            predicted = ell**2
-            rep = HeisElem(ell, e_alpha, e_beta, 0)
-        prediction = FrobPrediction(
-            p=p,
-            ell=ell,
-            a=a,
-            e_alpha=e_alpha,
-            e_beta=e_beta,
-            central_resolved=both_trivial,
-            a_value=val,
-            a2_case=None,
-            e_central=e_central,
-            predicted_count=predicted,
-            class_label=class_label(rep),
-        )
-
+        val = None
+        e_central = None
+        predicted = ell**2
+    rep = HeisElem(ell, e_alpha, e_beta, e_central or 0)
     # group-theoretic consistency: count = ell^3 / order(Frobenius class rep)
-    assert prediction.predicted_count * element_order(rep) == ell**3
-    return prediction
+    assert predicted * element_order(rep) == ell**3
+    return FrobPrediction(
+        p=p,
+        ell=ell,
+        a=a,
+        e_alpha=e_alpha,
+        e_beta=e_beta,
+        central_resolved=both_trivial,
+        a_value=val,
+        a2_case=case,
+        e_central=e_central,
+        predicted_count=predicted,
+        class_label=class_label(rep),
+    )

@@ -56,12 +56,9 @@ class HeisElem:
         )
 
     def __pow__(self, n: int) -> "HeisElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = identity(self.ell)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        # g^n = (n a, n b, n c + n(n-1)/2 a b), for every integer n
+        a, b = self.e_alpha, self.e_beta
+        return HeisElem(self.ell, n * a, n * b, n * self.e_c + n * (n - 1) // 2 * a * b)
 
     @property
     def is_identity(self) -> bool:
@@ -86,18 +83,13 @@ def identity(ell: int) -> HeisElem:
     return HeisElem(ell, 0, 0, 0)
 
 
-def compose(g: HeisElem, h: HeisElem) -> HeisElem:
-    return g * h
-
-
 def element_order(g: HeisElem) -> int:
     """Smallest n >= 1 with g^n = identity."""
-    acc = g
-    n = 1
-    while not acc.is_identity:
-        acc = acc * g
-        n += 1
-    return n
+    if g.is_identity:
+        return 1
+    if g.ell == 2 and g.e_alpha and g.e_beta:
+        return 4
+    return g.ell
 
 
 def all_elements(ell: int):

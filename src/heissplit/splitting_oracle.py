@@ -20,6 +20,8 @@ The full cover R adjoins an ell-th root of the unit product
 eps(t) = prod (1 - zeta^i t^(1/ell))^i.  Above a K-prime with residue field
 F_q and image xbar of u, the relevant residue algebra is F_q[z]/(z^ell -
 epsbar) with epsbar = prod (1 - zeta^i xbar)^i; ``split_R`` factors that.
+eps has one definition, ``finite_field.epsilon_value``: it defines the tower,
+so sharing it with the criterion keeps the oracle independent of that code.
 For K-primes of residue degree > 1 this uses that R/K is unramified and
 that epsbar != 0 with gcd(ell, p) = 1, which makes z^ell - epsbar
 squarefree over the residue field; the ell = 2 curve model gives an
@@ -43,6 +45,7 @@ from .errors import (
 from .finite_field import (
     Context,
     build_extension,
+    epsilon_value,
     lth_root,
     power_residue_symbol,
     prime_field,
@@ -160,17 +163,6 @@ def split_K(ctx: Context, a: int, seed: int) -> SplitReport:
     )
 
 
-def _epsilon_at(ctx: Context, fld, x_image, shift: int = 0):
-    """prod (1 - zeta^(i+shift) xbar)^i inside a residue field."""
-    zeta = fld.embed(ctx.zeta)
-    acc = fld.one
-    w = fld.pow(zeta, (1 + shift) % ctx.ell)
-    for i in range(1, ctx.ell):
-        acc = fld.mul(acc, fld.pow(fld.sub(fld.one, fld.mul(w, x_image)), i))
-        w = fld.mul(w, zeta)
-    return acc
-
-
 def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
     """Count primes of the full degree-ell^3 cover R above (t - a)."""
     a = _check_a(ctx, a)
@@ -178,12 +170,12 @@ def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
     primes: list[PrimeTrace] = []
     for kp in _k_primes(ctx, a):
         fld = kp.field
-        eps = _epsilon_at(ctx, fld, kp.x_image)
+        eps = epsilon_value(ctx, kp.x_image, field=fld)
         assert eps != fld.zero, "unit product cannot vanish for a != 1"
         # shift-independence guard: shifting by one multiplies eps by
         # (1 - xbar)^ell / (1 - a), an ell-th power in the residue field,
         # so the factor pattern of z^ell - eps does not depend on the shift.
-        eps1 = _epsilon_at(ctx, fld, kp.x_image, shift=1)
+        eps1 = epsilon_value(ctx, kp.x_image, shift=1, field=fld)
         ratio = fld.mul(eps1, fld.inv(eps))
         assert fld.pow(ratio, (fld.order - 1) // ell) == fld.one
         z_fac = factor_binomial(fld, ell, eps)

@@ -26,7 +26,7 @@ from .errors import (
 from .finite_field import Context, build_extension, primitive_root
 from .heis_arith import FrobPrediction, frobenius_prediction
 from .heisenberg import conjugacy_classes, class_label
-from .polynomial import binomial, roots_in_field
+from .polynomial import binomial_roots
 from .seeds import derive_seed
 from .splitting_oracle import SplitReport, split_K, split_R
 
@@ -257,7 +257,7 @@ def check_block_det(field, n: int, ell: int, seed: int, trials: int) -> BlockDet
 
 def _canonical_root(field, ell: int, value, policy: str):
     """An ell-th root of ``value`` in ``field``; policy picks min or max key."""
-    roots = roots_in_field(binomial(field, ell, value))
+    roots = binomial_roots(field, ell, value)
     assert roots, "the ambient field must contain the required roots"
     return roots[0] if policy == "min" else roots[-1]
 

@@ -122,6 +122,12 @@ class TestScanVerify:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("spec", ["abc", "3..x"])
+    def test_malformed_p_spec_exit_2(self, capsys, spec):
+        code, _, err = run(capsys, "scan", "-p", spec, "-l", "2")
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_no_command_usage(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2

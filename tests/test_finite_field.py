@@ -26,6 +26,7 @@ from heissplit import (
     prime_field,
     primitive_root,
 )
+from heissplit.polynomial import Poly, is_irreducible
 
 SMALL_CONTEXTS = [(13, 2), (5, 2), (7, 3), (31, 3), (11, 5), (199, 2), (43, 7)]
 
@@ -206,7 +207,37 @@ class TestBuildExtension:
             x = ext.sample(rng)
             assert ext.pow(x, p**m) == x
 
-    @pytest.mark.parametrize("p,m", [(7, 2), (5, 3), (13, 2)])
+    @pytest.mark.parametrize(
+        "p,m", [(2, 4), (2, 6), (3, 6), (5, 4), (7, 3), (3, 5), (71, 5)]
+    )
+    def test_modulus_is_first_candidate_poly_rabin_accepts(self, p, m):
+        # candidates in key order: coefficients c_0..c_{m-1} are the base-p
+        # digits of n; the Poly Rabin test is independent of ExtField's own
+        fld = prime_field(p)
+        for n in range(p**m):
+            digits = [n // p**i % p for i in range(m)]
+            if is_irreducible(Poly(fld, digits + [1])):
+                break
+        assert build_extension(p, m).modulus == tuple(digits) + (1,)
+
+    def test_rejects_reducible_moduli(self):
+        with pytest.raises(ValueError):
+            ExtField(7, (1, 2, 1))  # (x + 1)^2
+        with pytest.raises(ValueError):
+            ExtField(5, (0, 0, 1))  # x^2
+        # x (x^2 + 1) (x^3 + 2x + 1) over F_3: squarefree, with factor
+        # degrees dividing 6, so x^(3^6) = x holds; only the unit condition
+        # on x^(3^3) - x and x^(3^2) - x catches it
+        fld = prime_field(3)
+        f = Poly(fld, (0, 1)) * Poly(fld, (1, 0, 1)) * Poly(fld, (1, 2, 0, 1))
+        assert f.degree == 6
+        assert Poly.x(fld).pow_mod(3**6, f) == Poly.x(fld)
+        with pytest.raises(ValueError):
+            ExtField(3, tuple(f.coeffs))
+
+    @pytest.mark.parametrize(
+        "p,m", [(7, 2), (5, 3), (13, 2), (2, 3), (3, 5), (71, 5)]
+    )
     def test_inverse_and_group_order(self, p, m):
         ext = build_extension(p, m)
         rng = random.Random(9)

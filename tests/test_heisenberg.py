@@ -6,7 +6,6 @@ from heissplit import (
     HeisElem,
     MixedModulusError,
     NotPrimeError,
-    compose,
     conjugacy_classes,
     element_order,
     identity,
@@ -17,14 +16,14 @@ from heissplit.heisenberg import all_elements, class_label
 class TestCompose:
     def test_identity_neutral(self):
         g = HeisElem(3, 1, 2, 1)
-        assert compose(identity(3), g) == g
-        assert compose(g, identity(3)) == g
+        assert identity(3) * g == g
+        assert g * identity(3) == g
 
     def test_noncommutativity_example(self):
         a = HeisElem(2, 1, 0, 0)
         b = HeisElem(2, 0, 1, 0)
-        assert compose(a, b) == HeisElem(2, 1, 1, 1)
-        assert compose(b, a) == HeisElem(2, 1, 1, 0)
+        assert a * b == HeisElem(2, 1, 1, 1)
+        assert b * a == HeisElem(2, 1, 1, 0)
 
     def test_inverse(self):
         for g in all_elements(3):
@@ -33,7 +32,7 @@ class TestCompose:
 
     def test_mixed_modulus_rejected(self):
         with pytest.raises(MixedModulusError):
-            compose(HeisElem(2, 1, 0, 0), HeisElem(3, 1, 0, 0))
+            HeisElem(2, 1, 0, 0) * HeisElem(3, 1, 0, 0)
 
     @pytest.mark.parametrize("ell", [2, 3])
     def test_associativity_exhaustive(self, ell):
@@ -70,7 +69,24 @@ class TestCompose:
                 assert g * comm == comm * g
 
 
+def brute_power(g: HeisElem, n: int) -> HeisElem:
+    """g^n by |n| repeated multiplications (by g^-1 for negative n)."""
+    step = g if n >= 0 else g.inverse()
+    acc = identity(g.ell)
+    for _ in range(abs(n)):
+        acc = acc * step
+    return acc
+
+
 class TestOrders:
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_closed_forms_match_repeated_multiplication(self, ell):
+        for g in all_elements(ell):
+            for n in range(-2 * ell, 2 * ell + 1):
+                assert g**n == brute_power(g, n)
+            order = next(n for n in range(1, 5 * ell) if brute_power(g, n).is_identity)
+            assert element_order(g) == order
+
     def test_examples(self):
         assert element_order(identity(3)) == 1
         assert element_order(HeisElem(2, 1, 1, 0)) == 4

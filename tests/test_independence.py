@@ -2,9 +2,10 @@
 
 ``splitting_oracle``, ``polynomial`` and ``finite_field`` must not reach
 ``heis_arith``, neither directly nor through another package module nor
-through the package ``__init__`` (which re-exports ``heis_arith``).  The check
-reads the sources with ``ast``, so it sees every import statement, including
-ones inside functions.
+through the package ``__init__`` (which re-exports ``heis_arith``).
+``finite_field``, the base layer, imports no package module but ``errors``.
+The checks read the sources with ``ast``, so they see every import
+statement, including ones inside functions.
 """
 
 import ast
@@ -69,6 +70,12 @@ def test_oracle_never_reaches_heis_arith():
     seen = reachable(ORACLE_MODULES, read_module)
     assert "polynomial" in seen and "errors" in seen
     assert not seen & FORBIDDEN, sorted(seen)
+
+
+def test_finite_field_imports_only_errors():
+    # the base layer: a lazy import of polynomial here would bring back the
+    # cycle that a second polynomial kernel once existed to avoid
+    assert package_imports(read_module("finite_field")) == {"errors"}
 
 
 def test_guard_catches_every_import_form():
