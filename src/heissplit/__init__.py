@@ -28,8 +28,8 @@ from .finite_field import (
     Context,
     ExtField,
     PrimeField,
+    binomial_roots,
     build_extension,
-    discrete_log,
     epsilon_value,
     is_prime,
     lth_root,
@@ -58,11 +58,9 @@ from .polynomial import (
     Factorization,
     Poly,
     binomial,
-    binomial_roots,
     count_irreducible_factors,
     factor,
     factor_binomial,
-    field_embedding,
     is_irreducible,
     roots_in_field,
     squarefree_decomposition,

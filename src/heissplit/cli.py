@@ -72,16 +72,17 @@ def _parse_p_spec(spec: str) -> list[int]:
         ) from None
 
 
-def _contexts(p_spec: str, ell: int) -> tuple[list[Context], list[str]]:
-    """Contexts for every (p, ell) in the expansion; invalid p become warnings."""
+def _contexts(p_spec: str, ell: int) -> list[Context]:
+    """Contexts for every usable (p, ell); each skipped p is warned about."""
     contexts = []
-    warnings = []
     for p in _parse_p_spec(p_spec):
         try:
             contexts.append(make_context(p, ell))
         except HeisSplitError as exc:
-            warnings.append(f"skipping p={p}, ell={ell}: {exc}")
-    return contexts, warnings
+            print(f"skipping p={p}, ell={ell}: {exc}", file=sys.stderr)
+    if not contexts:
+        raise MalformedSpecError(f"-p {p_spec!r} -l {ell} leaves no usable (p, ell)")
+    return contexts
 
 
 def _resolve_output(path: str | None) -> Path | None:
@@ -114,6 +115,8 @@ def _parallel_scan(contexts: list[Context], seed: int, jobs: int) -> list[dict]:
     tasks = [
         (ctx.p, ctx.ell, a, seed) for ctx in contexts for a in admissible_values(ctx)
     ]
+    # the pool starts all its workers at once, so never more than the CPUs
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [_scan_worker(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -238,18 +241,14 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    contexts, warnings = _contexts(args.p, args.ell)
-    for w in warnings:
-        print(w, file=sys.stderr)
+    contexts = _contexts(args.p, args.ell)
     rows = _parallel_scan(contexts, args.seed, args.jobs)
     _emit(rows, SCAN_COLUMNS, args.format, args.output)
     return EXIT_OK if all(r["agree"] for r in rows) else EXIT_FAILURE
 
 
 def _cmd_verify(args) -> int:
-    contexts, warnings = _contexts(args.p, args.ell)
-    for w in warnings:
-        print(w, file=sys.stderr)
+    contexts = _contexts(args.p, args.ell)
     rows: list[dict] = []
     failed = False
     for ctx in contexts:
@@ -287,9 +286,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    contexts, warnings = _contexts(args.p, args.ell)
-    for w in warnings:
-        print(w, file=sys.stderr)
+    contexts = _contexts(args.p, args.ell)
     rows: list[dict] = []
     for ctx in contexts:
         rows.extend(histogram_rows(chebotarev_stats(ctx, args.seed)))

@@ -67,4 +67,5 @@ class SymbolNotTrivialError(HeisSplitError):
 
 
 class MalformedSpecError(HeisSplitError):
-    """A command-line list or range of primes that does not parse."""
+    """A command-line list or range of primes that does not parse, or that
+    leaves no usable (p, ell) pair."""

@@ -16,11 +16,12 @@ residue fields bit-reproducible across runs.  ``ExtField`` certifies its
 modulus by Rabin's test run in its own arithmetic; there are no polynomial
 helpers here.  ``epsilon_value`` is the one definition of the unit product
 eps that defines the cover, shared by the criterion and the oracle.
+ell-th roots, ``lth_root`` included, come from one certified algorithm:
+``binomial_roots`` (Adleman-Manders-Miller, FOCS 1977), checked by r^ell = c.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -404,33 +405,80 @@ def epsilon_value(ctx: Context, root_x, shift: int = 0, field=None):
     return acc
 
 
-@lru_cache(maxsize=None)
-def _baby_steps(p: int, g: int, m: int) -> dict[int, int]:
-    table = {}
-    e = 1
-    for j in range(m):
-        table.setdefault(e, j)
-        e = e * g % p
-    return table
+def _element_with_key(fld, key: int):
+    """Inverse of ``fld.elem_key``."""
+    if isinstance(fld, PrimeField):
+        return key
+    digits = []
+    for _ in range(fld.degree):
+        key, c = divmod(key, fld.p)
+        digits.append(c)
+    return tuple(digits)
 
 
-def discrete_log(ctx: Context, a: int) -> int:
-    """log_g(a) in [0, p-1) by baby-step/giant-step."""
-    p, g = ctx.p, ctx.g
-    if a % p == 0:
-        raise ZeroArgumentError("discrete log of zero")
-    if p == 2:
-        return 0
-    m = math.isqrt(p - 1) + 1
-    table = _baby_steps(p, g, m)
-    giant = pow(g, -m, p)
-    y = a % p
-    for i in range(m + 1):
-        j = table.get(y)
-        if j is not None:
-            return (i * m + j) % (p - 1)
-        y = y * giant % p
-    raise AssertionError("unreachable: g generates the full group")
+@lru_cache(maxsize=64)
+def _ell_sylow(fld, ell: int) -> tuple:
+    """(s, t, g) with q - 1 = ell^s * t, ell not dividing t, and g = z^t a
+    generator of the ell-Sylow subgroup of F_q^*.
+
+    z is the first element, in key order, that is not an ell-th power.  Over
+    an extension the search starts at the generator x (key p): when ell | p - 1
+    every element of F_p is an ell-th power in F_{p^ell}, so keys below p
+    would all be tried in vain, each at the cost of a full-size power.
+    """
+    s, t = 0, fld.order - 1
+    while t % ell == 0:
+        s, t = s + 1, t // ell
+    cofactor = (fld.order - 1) // ell
+    key = 2 if isinstance(fld, PrimeField) else fld.p
+    while True:
+        z = _element_with_key(fld, key)
+        if fld.pow(z, cofactor) != fld.one:
+            return s, t, fld.pow(z, t)
+        key += 1
+
+
+def binomial_roots(fld, ell: int, c) -> tuple:
+    """All roots of x^ell - c in ``fld``, sorted by ``elem_key``; () if none.
+
+    Equal to ``roots_in_field(binomial(fld, ell, c))``.  Requires ell prime,
+    ell | q - 1 and c != 0.  With q - 1 = ell^s * t, r = c^(ell^-1 mod t)
+    satisfies r^ell = c * e for some e in the ell-Sylow subgroup; a
+    Pohlig-Hellman logarithm of e to the base g corrects r inside that
+    subgroup.  The other roots are r * zeta^i with zeta = g^(ell^(s-1)).
+    """
+    if not is_prime(ell):
+        raise NotPrimeError(f"ell = {ell} is not prime")
+    if (fld.order - 1) % ell != 0:
+        raise DivisibilityError(f"ell = {ell} does not divide q - 1 = {fld.order - 1}")
+    if c == fld.zero:
+        raise ZeroArgumentError("x^ell - 0 is not squarefree")
+    if fld.pow(c, (fld.order - 1) // ell) != fld.one:
+        return ()
+    s, t, g = _ell_sylow(fld, ell)
+    sylow = ell**s
+    zeta = fld.pow(g, sylow // ell)
+    r = fld.pow(c, pow(ell, -1, t))
+    e = fld.mul(fld.pow(r, ell), fld.inv(c))
+    if e != fld.one:
+        # Pohlig-Hellman: n = log_g(e), one base-ell digit per step
+        digit = {}
+        w = fld.one
+        for d in range(ell):
+            digit[w] = d
+            w = fld.mul(w, zeta)
+        n = 0
+        for k in range(s):
+            y = fld.mul(e, fld.pow(g, sylow - n))
+            n += digit[fld.pow(y, ell ** (s - 1 - k))] * ell**k
+        # e is an ell-th power, so ell | n and g^(-n/ell) fixes r
+        r = fld.mul(r, fld.pow(g, sylow - n // ell))
+    assert fld.pow(r, ell) == c, "certificate: r^ell == c"
+    roots = [r]
+    for _ in range(ell - 1):
+        roots.append(fld.mul(roots[-1], zeta))
+    roots.sort(key=fld.elem_key)
+    return tuple(roots)
 
 
 def lth_root(ctx: Context, a: int) -> int | None:
@@ -439,16 +487,8 @@ def lth_root(ctx: Context, a: int) -> int | None:
     The canonical choice is the smallest integer representative; the full
     root set is {zeta^i * root}.
     """
-    p, ell = ctx.p, ctx.ell
-    if a % p == 0:
+    a %= ctx.p
+    if a == 0:
         raise ZeroArgumentError("ell-th root of zero")
-    e = discrete_log(ctx, a)
-    if e % ell != 0:
-        return None
-    root = pow(ctx.g, e // ell, p)
-    best = root
-    for _ in range(ell - 1):
-        root = root * ctx.zeta % p
-        if root < best:
-            best = root
-    return best
+    roots = binomial_roots(prime_field(ctx.p), ctx.ell, a)
+    return roots[0] if roots else None

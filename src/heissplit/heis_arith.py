@@ -36,6 +36,7 @@ from .errors import (
 )
 from .finite_field import (
     Context,
+    binomial_roots,
     build_extension,
     epsilon_value,
     lth_root,
@@ -44,7 +45,7 @@ from .finite_field import (
     zeta_index,
 )
 from .heisenberg import HeisElem, class_label, element_order
-from .polynomial import Poly, binomial_roots
+from .polynomial import Poly
 
 # Four-way classification of A_2(a) (exactly one holds for admissible a):
 A2_UNIT = "unit"                        # A_2 = +1 or -1
@@ -216,7 +217,11 @@ def classify_a2(ctx: Context, a: int) -> str:
     half = pow(2, -1, p)
     if a in (0, 1) or a == half:
         raise DegenerateValueError("a must avoid {0, 1, 1/2}")
-    val = a2_value(ctx, a)
+    return _a2_case(p, a, a2_value(ctx, a))
+
+
+def _a2_case(p: int, a: int, val: int) -> str:
+    """The case that val = A_2(a) falls in; asserts that exactly one holds."""
     sq = val * val % p
     inv_one_minus_a = pow((1 - a) % p, -1, p)
     hits = []
@@ -278,7 +283,7 @@ def frobenius_prediction(ctx: Context, a: int) -> FrobPrediction:
         if a == pow(2, -1, p):
             raise DegenerateValueError("a = 1/2 is excluded for ell = 2")
         val = a2_value(ctx, a)
-        case = classify_a2(ctx, a)
+        case = _a2_case(p, a, val)
         if val == 1:
             predicted = 8
             e_central: int | None = 0

@@ -5,19 +5,19 @@ complete factorization into monic irreducibles via squarefree
 decomposition, distinct-degree splitting, and seeded Cantor-Zassenhaus
 equal-degree splitting.  For a fixed seed the output is identical across
 runs; across seeds the factor multiset is identical (only internal random
-choices vary).  It serves ``roots_in_field`` and
-``count_irreducible_factors``, and the tests use it as the reference.
+choices vary).  No production path calls it or ``roots_in_field``: they
+are the reference the tests compare against.
 
 ``factor_binomial`` is the engine of the splitting oracle, whose every
 polynomial is a binomial x^ell - c over F_q with ell a prime dividing
 q - 1.  Such a binomial splits into ell linear factors when c is an ell-th
 power and is irreducible otherwise (Lidl-Niederreiter, *Finite Fields*,
-Thm 3.75), so one power c^((q-1)/ell) decides it and one ell-th root
-(Adleman-Manders-Miller, "On taking roots in finite fields", FOCS 1977)
-gives every factor.  It uses no randomness, returns exactly what ``factor``
-returns, and certifies each answer: the root satisfies r^ell = c, the
-factors re-multiply to the binomial, and an irreducible binomial passes
-the Rabin test.
+Thm 3.75), so one power c^((q-1)/ell) decides it and the certified ell-th
+roots of ``finite_field.binomial_roots`` give every factor.  It uses no
+randomness, returns exactly what ``factor`` returns, and certifies each
+answer: the root satisfies r^ell = c, the factors re-multiply to the
+binomial, and an irreducible binomial passes the Rabin test.
+There are no field embeddings: the oracle embeds only F_p images.
 
 Coefficients are stored lowest degree first and live in the coefficient
 field's element representation (ints for F_p, tuples for F_{p^m}).
@@ -27,17 +27,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
-    DivisibilityError,
     MixedModulusError,
-    NotPrimeError,
     NotSquarefreeError,
-    ZeroArgumentError,
     ZeroPolynomialError,
 )
-from .finite_field import PrimeField, is_prime
+from .finite_field import PrimeField, binomial_roots
 from .seeds import derive_seed
 
 
@@ -533,82 +529,6 @@ def roots_in_field(f: Poly) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _element_with_key(fld, key: int):
-    """Inverse of ``fld.elem_key``."""
-    if isinstance(fld, PrimeField):
-        return key
-    digits = []
-    for _ in range(fld.degree):
-        key, c = divmod(key, fld.p)
-        digits.append(c)
-    return tuple(digits)
-
-
-@lru_cache(maxsize=64)
-def _ell_sylow(fld, ell: int) -> tuple:
-    """(s, t, g) with q - 1 = ell^s * t, ell not dividing t, and g = z^t a
-    generator of the ell-Sylow subgroup of F_q^*.
-
-    z is the first element, in key order, that is not an ell-th power.  Over
-    an extension the search starts at the generator x (key p): when ell | p - 1
-    every element of F_p is an ell-th power in F_{p^ell}, so keys below p
-    would all be tried in vain, each at the cost of a full-size power.
-    """
-    s, t = 0, fld.order - 1
-    while t % ell == 0:
-        s, t = s + 1, t // ell
-    cofactor = (fld.order - 1) // ell
-    key = 2 if isinstance(fld, PrimeField) else fld.p
-    while True:
-        z = _element_with_key(fld, key)
-        if fld.pow(z, cofactor) != fld.one:
-            return s, t, fld.pow(z, t)
-        key += 1
-
-
-def binomial_roots(fld, ell: int, c) -> tuple:
-    """All roots of x^ell - c in ``fld``, sorted by ``elem_key``; () if none.
-
-    Equal to ``roots_in_field(binomial(fld, ell, c))``.  Requires ell prime,
-    ell | q - 1 and c != 0.  With q - 1 = ell^s * t, r = c^(ell^-1 mod t)
-    satisfies r^ell = c * e for some e in the ell-Sylow subgroup; a
-    Pohlig-Hellman logarithm of e to the base g corrects r inside that
-    subgroup.  The other roots are r * zeta^i with zeta = g^(ell^(s-1)).
-    """
-    if not is_prime(ell):
-        raise NotPrimeError(f"ell = {ell} is not prime")
-    if (fld.order - 1) % ell != 0:
-        raise DivisibilityError(f"ell = {ell} does not divide q - 1 = {fld.order - 1}")
-    if c == fld.zero:
-        raise ZeroArgumentError("x^ell - 0 is not squarefree")
-    if fld.pow(c, (fld.order - 1) // ell) != fld.one:
-        return ()
-    s, t, g = _ell_sylow(fld, ell)
-    sylow = ell**s
-    zeta = fld.pow(g, sylow // ell)
-    r = fld.pow(c, pow(ell, -1, t))
-    e = fld.mul(fld.pow(r, ell), fld.inv(c))
-    if e != fld.one:
-        # Pohlig-Hellman: n = log_g(e), one base-ell digit per step
-        digit = {}
-        w = fld.one
-        for d in range(ell):
-            digit[w] = d
-            w = fld.mul(w, zeta)
-        n = 0
-        for k in range(s):
-            y = fld.mul(e, fld.pow(g, sylow - n))
-            n += digit[fld.pow(y, ell ** (s - 1 - k))] * ell**k
-        # e is an ell-th power, so ell | n and g^(-n/ell) fixes r
-        r = fld.mul(r, fld.pow(g, sylow - n // ell))
-    assert fld.pow(r, ell) == c, "certificate: r^ell == c"
-    roots = [r]
-    for _ in range(ell - 1):
-        roots.append(fld.mul(roots[-1], zeta))
-    roots.sort(key=fld.elem_key)
-    return tuple(roots)
-
-
 def factor_binomial(fld, ell: int, c) -> Factorization:
     """``factor(binomial(fld, ell, c), seed)`` for every seed, with no
     randomness: the same monic factors in the same canonical order, unit 1.
@@ -629,49 +549,3 @@ def factor_binomial(fld, ell: int, c) -> Factorization:
     assert fac.expand() == f, "certificate: the factors re-multiply to x^ell - c"
     return fac
 
-
-@lru_cache(maxsize=None)
-def _embedding_powers(sub, sup) -> tuple:
-    """Powers 1, r, ..., r^(m-1) of the canonical image of sub's generator."""
-    mod_poly = Poly(sup, [sup.embed(c) for c in sub.modulus])
-    roots = roots_in_field(mod_poly)
-    assert roots, "subfield modulus must split in the larger field"
-    r = roots[0]
-    powers = [sup.one]
-    for _ in range(sub.degree - 1):
-        powers.append(sup.mul(powers[-1], r))
-    return tuple(powers)
-
-
-def field_embedding(sub, sup):
-    """Canonical embedding F_{p^m} -> F_{p^n} for m | n, as a callable.
-
-    The image of the subfield generator is the canonical (smallest-key) root
-    of the subfield modulus in the larger field.
-    """
-    if isinstance(sub, PrimeField):
-        if isinstance(sup, PrimeField):
-            if sub.p != sup.p:
-                raise MixedModulusError("different characteristics")
-            return lambda c: c % sub.p
-        if sub.p != sup.p:
-            raise MixedModulusError("different characteristics")
-        return sup.embed
-    if isinstance(sup, PrimeField) or sub.p != sup.p:
-        raise MixedModulusError("no embedding between these fields")
-    if sup.degree % sub.degree != 0:
-        raise MixedModulusError(
-            f"degree {sub.degree} does not divide {sup.degree}"
-        )
-    if sub == sup:
-        return lambda a: a
-    powers = _embedding_powers(sub, sup)
-
-    def embed(a):
-        acc = sup.zero
-        for c, rp in zip(a, powers):
-            if c:
-                acc = sup.add(acc, sup.mul(sup.embed(c), rp))
-        return acc
-
-    return embed

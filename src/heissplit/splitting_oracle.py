@@ -28,8 +28,9 @@ squarefree over the residue field; the ell = 2 curve model gives an
 independent cross-check (``split_R2_curve``).
 
 Towers are flattened: every residue field is one of the canonical absolute
-extensions from ``build_extension``, with images mapped through explicit
-embeddings, never a field built on top of another extension.
+extensions from ``build_extension``, never a field built on top of another
+extension.  Only images from F_p are ever embedded (``field.embed``); the
+reason is asserted in ``_k_primes``.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ from .errors import (
 )
 from .finite_field import (
     Context,
+    binomial_roots,
     build_extension,
     epsilon_value,
     lth_root,
     power_residue_symbol,
     prime_field,
 )
-from .polynomial import binomial_roots, factor_binomial, field_embedding
+from .polynomial import factor_binomial
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,12 @@ def _k_primes(ctx: Context, a: int) -> tuple[_KPrime, ...]:
             if d == 1:
                 out.append(_KPrime(mid, x_mid, m, iu, iv))
             else:
-                top = build_extension(p, m * d)
-                embed = field_embedding(mid, top)
-                out.append(_KPrime(top, embed(x_mid), m * d, iu, iv))
+                # every element of F_p is an ell-th power in F_{p^ell}
+                # (p - 1 divides (p^ell - 1)/ell as p = 1 mod ell), so the
+                # v-binomial splits when m = ell: x_mid is in F_p here
+                assert m == 1, "the v-binomial splits over F_{p^ell}"
+                top = build_extension(p, d)
+                out.append(_KPrime(top, top.embed(x_mid), d, iu, iv))
     return tuple(out)
 
 

@@ -23,10 +23,9 @@ from .errors import (
     NoRootOfUnityError,
     UnsupportedEllError,
 )
-from .finite_field import Context, build_extension, primitive_root
+from .finite_field import Context, binomial_roots, build_extension
 from .heis_arith import FrobPrediction, frobenius_prediction
 from .heisenberg import conjugacy_classes, class_label
-from .polynomial import binomial_roots
 from .seeds import derive_seed
 from .splitting_oracle import SplitReport, split_K, split_R
 
@@ -166,24 +165,13 @@ def determinant(field, rows: list[list]) -> object:
     return det
 
 
-def _element_of_order(field, ell: int, rng: random.Random):
-    """An element of multiplicative order exactly ell, deterministically."""
+def _element_of_order(field, ell: int):
+    """The second root of x^ell - 1 by key (the first is 1): order ell."""
     if (field.order - 1) % ell != 0:
         raise NoRootOfUnityError(
             f"field of order {field.order} has no element of order {ell}"
         )
-    from .finite_field import PrimeField
-
-    if isinstance(field, PrimeField):
-        g = primitive_root(field.p)
-        return pow(g, (field.p - 1) // ell, field.p)
-    while True:
-        c = field.sample(rng)
-        if c == field.zero:
-            continue
-        z = field.pow(c, (field.order - 1) // ell)
-        if z != field.one:
-            return z
+    return binomial_roots(field, ell, field.one)[1]
 
 
 def block_matrix(field, zeta, blocks: list[list[list]]) -> list[list]:
@@ -233,7 +221,7 @@ def check_block_det(field, n: int, ell: int, seed: int, trials: int) -> BlockDet
     determinant, making this an independent oracle for the identity.
     """
     rng = random.Random(derive_seed(seed, "blockdet", n, ell))
-    zeta = _element_of_order(field, ell, rng)
+    zeta = _element_of_order(field, ell)
     vdm = vandermonde_unit(field, zeta, ell)
     failures = []
     for trial in range(trials):

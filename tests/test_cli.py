@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from heissplit import cli
 from heissplit.cli import main, _parse_p_spec
 
 
@@ -128,6 +129,20 @@ class TestScanVerify:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "-p", "3..2", "-l", "2"),
+            ("scan", "-p", "4", "-l", "2"),
+            ("verify", "-p", "7", "-l", "5"),
+            ("stats", "-p", "4", "-l", "3"),
+        ],
+    )
+    def test_no_usable_pair_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: " in err and "Traceback" not in err
+
     def test_no_command_usage(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
@@ -176,6 +191,32 @@ class TestJobFile:
         captured = capsys.readouterr()
         assert code == 2
         assert "cannot nest" in captured.err
+
+
+class TestJobs:
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        code, clamped, _ = run(capsys, "scan", "-p", "13", "-l", "2", "--jobs", "100000")
+        assert code == 0 and workers == [3]
+        code, serial, _ = run(capsys, "scan", "-p", "13", "-l", "2")
+        assert code == 0 and workers == [3]
+        assert clamped == serial
 
 
 class TestDeterminism:

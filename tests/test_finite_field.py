@@ -18,7 +18,6 @@ from heissplit import (
     PrimeField,
     ZeroArgumentError,
     build_extension,
-    discrete_log,
     is_prime,
     lth_root,
     make_context,
@@ -162,10 +161,24 @@ class TestLthRoot:
                 allroots = {root * pow(ctx.zeta, i, p) % p for i in range(ell)}
                 assert root == min(allroots)
 
-    def test_discrete_log_roundtrip(self):
-        ctx = make_context(199, 2)
-        for a in range(1, 60):
-            assert pow(ctx.g, discrete_log(ctx, a), 199) == a
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_contract_edge_prime(self, ell):
+        # p = 2^31 - 1 is the largest prime the contract admits
+        p = (1 << 31) - 1
+        ctx = make_context(p, ell)
+        rng = random.Random(ell)
+        values = [rng.randrange(1, p) for _ in range(25)]
+        values += [pow(rng.randrange(1, p), ell, p) for _ in range(25)]
+        found = 0
+        for a in values:
+            root = lth_root(ctx, a)
+            if root is None:
+                assert power_residue_symbol(ctx, a) != 0
+                continue
+            found += 1
+            assert pow(root, ell, p) == a
+            assert root == min(root * pow(ctx.zeta, i, p) % p for i in range(ell))
+        assert 25 <= found < 50
 
 
 class TestBuildExtension:

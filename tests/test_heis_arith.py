@@ -3,6 +3,7 @@ classification, and the Frobenius-side prediction."""
 
 import pytest
 
+from heissplit import heis_arith
 from heissplit import (
     DegenerateSpecializationError,
     DegenerateValueError,
@@ -253,6 +254,18 @@ class TestFrobeniusPrediction:
                 assert pred.e_alpha == 0 and pred.e_beta == 0
                 assert pred.a_value == 1
                 assert pred.central_resolved
+
+    def test_ell2_computes_a2_once(self, monkeypatch):
+        calls = []
+        a2 = heis_arith.a2_value
+        monkeypatch.setattr(
+            heis_arith, "a2_value", lambda ctx, a: calls.append(a) or a2(ctx, a)
+        )
+        for a in (2, 3, 4, 5, 6, 8, 9, 10, 11, 12):
+            calls.clear()
+            case = frobenius_prediction(C13, a).a2_case
+            assert calls == [a]
+            assert case == classify_a2(C13, a)
 
     def test_central_resolution_flag(self):
         pred = frobenius_prediction(C13, 4)  # both symbols trivial

@@ -19,7 +19,6 @@ from heissplit import (
     count_irreducible_factors,
     factor,
     factor_binomial,
-    field_embedding,
     is_irreducible,
     make_context,
     power_residue_symbol,
@@ -290,22 +289,3 @@ class TestCharacteristicTwo:
         assert len(roots) == 2
         for r in roots:
             assert f.evaluate(r) == ext.zero
-
-
-class TestEmbedding:
-    @pytest.mark.parametrize("p,m,n", [(5, 2, 4), (7, 3, 6), (13, 2, 4)])
-    def test_embedding_is_a_field_hom(self, p, m, n):
-        sub, sup = build_extension(p, m), build_extension(p, n)
-        emb = field_embedding(sub, sup)
-        rng = random.Random(p)
-        for _ in range(40):
-            a, b = sub.sample(rng), sub.sample(rng)
-            assert emb(sub.add(a, b)) == sup.add(emb(a), emb(b))
-            assert emb(sub.mul(a, b)) == sup.mul(emb(a), emb(b))
-        assert emb(sub.one) == sup.one
-        assert emb(sub.embed(3)) == sup.embed(3)
-
-    def test_prime_into_extension(self):
-        sub, sup = prime_field(7), build_extension(7, 3)
-        emb = field_embedding(sub, sup)
-        assert emb(4) == sup.embed(4)
