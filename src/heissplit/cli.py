@@ -8,7 +8,7 @@ was found, 2 a usage error.
 
 Batch output with --jobs k is byte-identical to the serial output for the
 same seed: per-point seeds are derived from (seed, p, ell, a) and rows are
-emitted in (p, ell, a) order regardless of scheduling.
+emitted in -p order, then by a, regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -120,9 +120,7 @@ def _parallel_scan(contexts: list[Context], seed: int, jobs: int) -> list[dict]:
     if jobs <= 1:
         return [_scan_worker(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(_scan_worker, tasks, chunksize=8))
-    rows.sort(key=lambda r: (r["p"], r["ell"], r["a"]))
-    return rows
+        return list(pool.map(_scan_worker, tasks, chunksize=8))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +483,10 @@ def _run_job_file(path: str) -> int:
             print(f"job line {lineno}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_USAGE)
             continue
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected this line
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         worst = max(worst, code)
     return worst
 

@@ -13,7 +13,7 @@ so everything here is safe to use concurrently.  Extension moduli are chosen
 deterministically (lexicographically smallest monic irreducible, reading
 coefficients from the constant term upward as base-p digits), which makes
 residue fields bit-reproducible across runs.  ``ExtField`` certifies its
-modulus by Rabin's test run in its own arithmetic; there are no polynomial
+modulus by Ben-Or's test run in its own arithmetic; there are no polynomial
 helpers here.  ``epsilon_value`` is the one definition of the unit product
 eps that defines the cover, shared by the criterion and the oracle.
 ell-th roots, ``lth_root`` included, come from one certified algorithm:
@@ -43,7 +43,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for machine-word-scale integers."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n == q:
             return True
         if n % q == 0:
@@ -179,19 +179,16 @@ class ExtField:
         self.one = (1,) + (0,) * (m - 1)
         # x^m = sum(tail[i] * x^i): negated lower part of the modulus
         self._tail = tuple(-modulus[i] % p for i in range(m))
-        # Rabin's test in this ring: x^(p^m) = x, and u = x^(p^(m/r)) - x is
-        # a unit for each prime r | m.  Once x^(p^m) = x holds, the ring is a
-        # product of fields F_{p^d} with d | m, so u is a unit iff
-        # u^(p^m - 1) = 1.
-        x = (0, 1) + (0,) * (m - 2)
-        frob = [x]  # frob[k] = x^(p^k)
-        for _ in range(m):
-            frob.append(self.pow(frob[-1], p))
-        if frob[m] != x or any(
-            self.pow(self.sub(frob[m // r], x), self.order - 1) != self.one
-            for r in _prime_factors(m)
-        ):
-            raise ValueError("modulus is reducible")
+        # Ben-Or's test in this ring: the modulus is irreducible iff it has
+        # no irreducible factor of degree d <= m/2, i.e. iff x^(p^d) - x is a
+        # unit (coprime to the modulus) for every d <= m/2
+        x = h = (0, 1) + (0,) * (m - 2)
+        try:
+            for _ in range(m // 2):
+                h = self.pow(h, p)
+                self.inv(self.sub(h, x))
+        except ZeroArgumentError:
+            raise ValueError("modulus is reducible") from None
 
     @property
     def char(self) -> int:
@@ -253,7 +250,8 @@ class ExtField:
             while rem and not rem[-1]:
                 rem.pop()
             r0, s0, r1, s1 = r1, s1, rem, [v % p for v in s0]
-        # the modulus is irreducible, so the last remainder is a unit
+        if not r1:  # a shares a factor with a reducible modulus
+            raise ZeroArgumentError("not a unit modulo the modulus")
         c = pow(r1[0], -1, p)
         return tuple([v * c % p for v in s1] + [0] * (self.degree - len(s1)))
 

@@ -133,8 +133,3 @@ def class_label(g: HeisElem) -> str:
     if g.is_central:
         return f"z^{g.e_c}"
     return f"({g.e_alpha},{g.e_beta},*)"
-
-
-def class_size(g: HeisElem) -> int:
-    """Size of the conjugacy class of g (1 for central, ell otherwise)."""
-    return 1 if g.is_central else g.ell

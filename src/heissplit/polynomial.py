@@ -16,8 +16,10 @@ Thm 3.75), so one power c^((q-1)/ell) decides it and the certified ell-th
 roots of ``finite_field.binomial_roots`` give every factor.  It uses no
 randomness, returns exactly what ``factor`` returns, and certifies each
 answer: the root satisfies r^ell = c, the factors re-multiply to the
-binomial, and an irreducible binomial passes the Rabin test.
-There are no field embeddings: the oracle embeds only F_p images.
+binomial, and an irreducible binomial passes Ben-Or's test, which
+``is_irreducible`` runs through the distinct-degree loop ``_ddf`` of the
+generic engine.  There are no field embeddings: the oracle embeds only
+F_p images.
 
 Coefficients are stored lowest degree first and live in the coefficient
 field's element representation (ints for F_p, tuples for F_{p^m}).
@@ -152,12 +154,6 @@ class Poly:
     def scale(self, c) -> "Poly":
         f = self.field
         return Poly(f, [f.mul(c, x) for x in self.coeffs])
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (self.field.zero,) * n + self.coeffs)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same_field(other)
@@ -376,7 +372,9 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     """Distinct-degree split of a monic squarefree polynomial.
 
-    Returns (product of irreducibles of degree d, d) pairs.
+    Returns (product of irreducibles of degree d, d) pairs.  On any monic
+    f, squarefree or not, an irreducible factor of degree e <= deg f / 2
+    makes it return a pair with d <= e; ``is_irreducible`` relies on that.
     """
     fld = f.field
     q = fld.order
@@ -456,34 +454,15 @@ def factor(f: Poly, seed: int) -> Factorization:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over the coefficient field."""
+    """Ben-Or's test: f of degree m is irreducible iff it has no irreducible
+    factor of degree <= m/2, i.e. iff gcd(f, x^(q^d) - x) = 1 for every
+    d <= m/2 (Ben-Or, FOCS 1981).  ``_ddf`` runs exactly those d, so f is
+    irreducible iff it comes back as a single part of degree m.
+    """
     if f.degree <= 0:
         return False
-    if f.degree == 1:
-        return True
-    fld = f.field
-    q = fld.order
-    m = f.degree
-    x = Poly.x(fld)
-    h = x.pow_mod(q**m, f)
-    if not (h - x).is_zero:
-        return False
-    deg_factors = set()
-    n = m
-    dd = 2
-    while dd * dd <= n:
-        if n % dd == 0:
-            deg_factors.add(dd)
-            while n % dd == 0:
-                n //= dd
-        dd += 1
-    if n > 1:
-        deg_factors.add(n)
-    for r in deg_factors:
-        h = x.pow_mod(q ** (m // r), f)
-        if f.gcd(h - x).degree != 0:
-            return False
-    return True
+    parts = _ddf(f.monic())
+    return len(parts) == 1 and parts[0][1] == f.degree
 
 
 def count_irreducible_factors(f: Poly, seed: int) -> tuple[int, tuple[int, ...]]:

@@ -13,7 +13,7 @@ it with one power c^((q-1)/ell): ell linear factors when c is an ell-th
 power, irreducible otherwise (Lidl-Niederreiter, *Finite Fields*,
 Thm 3.75).  The roots come from one ell-th root r of c, certified by
 r^ell = c; the factors are certified to re-multiply to the binomial, and an
-irreducible binomial by the Rabin test.  No randomness is involved, so the
+irreducible binomial by Ben-Or's test.  No randomness is involved, so the
 reports do not depend on the seed, which they only record.
 
 The full cover R adjoins an ell-th root of the unit product

@@ -192,6 +192,14 @@ class TestJobFile:
         assert code == 2
         assert "cannot nest" in captured.err
 
+    def test_usage_error_line_does_not_stop_the_file(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("command=scan p=13\ncommand=symbol p=7 l=3 a=2\n")
+        code = main(["--job-file", str(jobs)])
+        captured = capsys.readouterr()
+        assert code == 2  # argparse: scan needs -l
+        assert "7,3,2," in captured.out
+
 
 class TestJobs:
     def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
@@ -227,4 +235,15 @@ class TestDeterminism:
                      "-o", str(serial)]) == 0
         assert main(["scan", "-p", "13,29", "-l", "2", "--seed", "17",
                      "--jobs", "4", "-o", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_parallel_keeps_p_spec_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # take the pool path
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        assert main(["scan", "-p", "29,13", "-l", "2", "--seed", "17",
+                     "-o", str(serial)]) == 0
+        assert main(["scan", "-p", "29,13", "-l", "2", "--seed", "17",
+                     "--jobs", "2", "-o", str(parallel)]) == 0
+        assert serial.read_text().splitlines()[1].startswith("29,")
         assert serial.read_bytes() == parallel.read_bytes()

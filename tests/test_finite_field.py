@@ -225,7 +225,8 @@ class TestBuildExtension:
     )
     def test_modulus_is_first_candidate_poly_rabin_accepts(self, p, m):
         # candidates in key order: coefficients c_0..c_{m-1} are the base-p
-        # digits of n; the Poly Rabin test is independent of ExtField's own
+        # digits of n; both tests are Ben-Or's, but the Poly one runs through
+        # polynomial._ddf, separate code from ExtField's test in its own ring
         fld = prime_field(p)
         for n in range(p**m):
             digits = [n // p**i % p for i in range(m)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from heissplit import (
     DivisibilityError,
+    ExtField,
     NotPrimeError,
     NotSquarefreeError,
     Poly,
@@ -289,3 +290,43 @@ class TestCharacteristicTwo:
         assert len(roots) == 2
         for r in roots:
             assert f.evaluate(r) == ext.zero
+
+
+def _monic_polys(fld, m):
+    """Every monic polynomial of degree m over the prime field ``fld``."""
+    p = fld.p
+    for n in range(p**m):
+        yield Poly(fld, [n // p**i % p for i in range(m)] + [1])
+
+
+def _reducible_by_trial_division(f):
+    return any(
+        (f % g).is_zero
+        for d in range(1, f.degree // 2 + 1)
+        for g in _monic_polys(f.field, d)
+    )
+
+
+class TestIrreducibility:
+    # every monic polynomial of these degrees: 126 + 120 + 155 + 56 = 457.
+    # They include reducible ones whose only factors have degree m/2, the
+    # last degree Ben-Or tries: (x^2 + 1)(x^2 + x + 2) over F_3 and
+    # (x^3 + x + 1)(x^3 + x^2 + 1) over F_2
+    @pytest.mark.parametrize("p,max_m", [(2, 6), (3, 4), (5, 3), (7, 2)])
+    def test_exact_against_trial_division(self, p, max_m):
+        fld = prime_field(p)
+        mismatches = []
+        for m in range(1, max_m + 1):
+            for f in _monic_polys(fld, m):
+                irreducible = not _reducible_by_trial_division(f)
+                if is_irreducible(f) != irreducible:
+                    mismatches.append(("is_irreducible", f))
+                if m >= 2:
+                    try:
+                        ExtField(p, f.coeffs)
+                        constructed = True
+                    except ValueError:
+                        constructed = False
+                    if constructed != irreducible:
+                        mismatches.append(("ExtField", f))
+        assert mismatches == []
