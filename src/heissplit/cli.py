@@ -487,6 +487,7 @@ def _run_job_file(path: str) -> int:
             code = main(argv)
         except SystemExit as exc:  # argparse rejected this line
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+            print(f"job line {lineno}: invalid arguments: {line}", file=sys.stderr)
         worst = max(worst, code)
     return worst
 

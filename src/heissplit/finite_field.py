@@ -14,14 +14,22 @@ deterministically (lexicographically smallest monic irreducible, reading
 coefficients from the constant term upward as base-p digits), which makes
 residue fields bit-reproducible across runs.  ``ExtField`` certifies its
 modulus by Ben-Or's test run in its own arithmetic; there are no polynomial
-helpers here.  ``epsilon_value`` is the one definition of the unit product
-eps that defines the cover, shared by the criterion and the oracle.
-ell-th roots, ``lth_root`` included, come from one certified algorithm:
-``binomial_roots`` (Adleman-Manders-Miller, FOCS 1977), checked by r^ell = c.
+helpers here.  Frobenius a -> a^p is F_p-linear, so ``ExtField`` keeps its
+m x m matrix, whose column j is (x^p)^j (von zur Gathen-Shoup, Comput.
+Complexity 1992): a conjugate is one mat-vec, and the norm to F_p,
+N(a) = a^((q-1)/(p-1)), is the product of the m conjugates
+(Lidl-Niederreiter, *Finite Fields*, Thm 2.28), certified to lie in F_p.
+For ell | p - 1 the ell-th-power test c^((q-1)/ell) = N(c)^((p-1)/ell) is
+then one norm and one power in F_p.  ``epsilon_value`` is the one
+definition of the unit product eps that defines the cover, shared by the
+criterion and the oracle.  ell-th roots, ``lth_root`` included, come from
+one certified algorithm: ``binomial_roots`` (Adleman-Manders-Miller,
+FOCS 1977), checked by r^ell = c.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -137,7 +145,12 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            a, e = self.inv(a), -e
         return pow(a, e, self.p)
+
+    def norm(self, a: int) -> int:
+        return a
 
     def elem_key(self, a: int) -> int:
         """Canonical integer encoding, used for deterministic ordering."""
@@ -160,10 +173,12 @@ class ExtField:
     """F_{p^m} as F_p[x]/(modulus); elements are m-tuples of ints.
 
     The modulus is monic of degree m and irreducible over F_p.  The power map
-    x -> x^p is the Frobenius automorphism, of order exactly m.
+    x -> x^p is the Frobenius automorphism, of order exactly m; it is
+    F_p-linear, and ``frobenius`` applies it as the matrix whose column j is
+    (x^p)^j.
     """
 
-    __slots__ = ("p", "degree", "modulus", "order", "zero", "one", "_tail")
+    __slots__ = ("p", "degree", "modulus", "order", "zero", "one", "_tail", "_frob")
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         if not is_prime(p):
@@ -181,11 +196,21 @@ class ExtField:
         self._tail = tuple(-modulus[i] % p for i in range(m))
         # Ben-Or's test in this ring: the modulus is irreducible iff it has
         # no irreducible factor of degree d <= m/2, i.e. iff x^(p^d) - x is a
-        # unit (coprime to the modulus) for every d <= m/2
-        x = h = (0, 1) + (0,) * (m - 2)
+        # unit (coprime to the modulus) for every d <= m/2.  Frobenius is
+        # F_p-linear on F_p[x]/(modulus) even when the modulus is reducible,
+        # so after the first step each x^(p^d) is one mat-vec.
+        x = (0, 1) + (0,) * (m - 2)
+        xp = self.pow(x, p)
         try:
-            for _ in range(m // 2):
-                h = self.pow(h, p)
+            self.inv(self.sub(xp, x))
+            # column j of the Frobenius matrix is (x^p)^j; stored by rows
+            cols = [self.one, xp]
+            while len(cols) < m:
+                cols.append(self.mul(cols[-1], xp))
+            self._frob = tuple(zip(*cols))
+            h = xp
+            for _ in range(m // 2 - 1):
+                h = self.frobenius(h)
                 self.inv(self.sub(h, x))
         except ZeroArgumentError:
             raise ValueError("modulus is reducible") from None
@@ -256,17 +281,33 @@ class ExtField:
         return tuple([v * c % p for v in s1] + [0] * (self.degree - len(s1)))
 
     def pow(self, a, e: int):
-        acc = self.one
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
+        if e < 0:
+            a, e = self.inv(a), -e
+        if not any(a[1:]):  # a lies in F_p
+            return self.embed(pow(a[0], e, self.p))
+        if e == 0:
+            return self.one
+        # left-to-right binary: no multiplication by one, no wasted square
+        acc = a
+        for bit in bin(e)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
         return acc
 
     def frobenius(self, a):
-        return self.pow(a, self.p)
+        """a^p, as the mat-vec of the Frobenius matrix with a."""
+        p, mul = self.p, operator.mul
+        return tuple([sum(map(mul, row, a)) % p for row in self._frob])
+
+    def norm(self, a) -> int:
+        """N(a) = a * a^p * ... * a^(p^(m-1)) = a^((q-1)/(p-1)), in F_p."""
+        acc = conj = a
+        for _ in range(self.degree - 1):
+            conj = self.frobenius(conj)
+            acc = self.mul(acc, conj)
+        assert not any(acc[1:]), "certificate: the norm lies in F_p"
+        return acc[0]
 
     def elem_key(self, a) -> int:
         """Canonical integer encoding (base-p digits, constant term least)."""
@@ -393,13 +434,17 @@ def epsilon_value(ctx: Context, root_x, shift: int = 0, field=None):
         raise ZeroArgumentError("root_x must be nonzero")
     if fld.pow(root_x, ctx.ell) == fld.one:
         raise DegenerateSpecializationError("root_x^ell = 1 (a = 1)")
-    zeta = fld.embed(ctx.zeta)
-    acc = fld.one
-    w = fld.pow(zeta, (1 + shift) % ctx.ell)
-    for i in range(1, ctx.ell):
-        term = fld.sub(fld.one, fld.mul(w, root_x))
-        acc = fld.mul(acc, fld.pow(term, i))
-        w = fld.mul(w, zeta)
+    p, ell = ctx.p, ctx.ell
+    w = pow(ctx.zeta, (1 + shift) % ell, p)  # zeta^(i + shift) in F_p
+    terms = []
+    for _ in range(1, ell):
+        terms.append(fld.sub(fld.one, fld.mul(fld.embed(w), root_x)))
+        w = w * ctx.zeta % p
+    # prod_i term_i^i = prod_k S_k, with suffix products S_k = prod_{i>=k} term_i
+    acc = suffix = terms[-1]
+    for term in reversed(terms[:-1]):
+        suffix = fld.mul(suffix, term)
+        acc = fld.mul(acc, suffix)
     return acc
 
 
@@ -419,19 +464,20 @@ def _ell_sylow(fld, ell: int) -> tuple:
     """(s, t, g) with q - 1 = ell^s * t, ell not dividing t, and g = z^t a
     generator of the ell-Sylow subgroup of F_q^*.
 
-    z is the first element, in key order, that is not an ell-th power.  Over
-    an extension the search starts at the generator x (key p): when ell | p - 1
-    every element of F_p is an ell-th power in F_{p^ell}, so keys below p
-    would all be tried in vain, each at the cost of a full-size power.
+    z is the first element, in key order, that is not an ell-th power, tested
+    through its norm as in ``binomial_roots``.  Over an extension the search
+    starts at the generator x (key p): when ell | p - 1 every element of F_p
+    is an ell-th power in F_{p^ell}, so keys below p would all be tried in
+    vain.
     """
     s, t = 0, fld.order - 1
     while t % ell == 0:
         s, t = s + 1, t // ell
-    cofactor = (fld.order - 1) // ell
-    key = 2 if isinstance(fld, PrimeField) else fld.p
+    p = fld.p
+    key = 2 if isinstance(fld, PrimeField) else p
     while True:
         z = _element_with_key(fld, key)
-        if fld.pow(z, cofactor) != fld.one:
+        if pow(fld.norm(z), (p - 1) // ell, p) != 1:
             return s, t, fld.pow(z, t)
         key += 1
 
@@ -440,18 +486,22 @@ def binomial_roots(fld, ell: int, c) -> tuple:
     """All roots of x^ell - c in ``fld``, sorted by ``elem_key``; () if none.
 
     Equal to ``roots_in_field(binomial(fld, ell, c))``.  Requires ell prime,
-    ell | q - 1 and c != 0.  With q - 1 = ell^s * t, r = c^(ell^-1 mod t)
-    satisfies r^ell = c * e for some e in the ell-Sylow subgroup; a
-    Pohlig-Hellman logarithm of e to the base g corrects r inside that
-    subgroup.  The other roots are r * zeta^i with zeta = g^(ell^(s-1)).
+    ell | p - 1 (not merely ell | q - 1; every caller has ell | p - 1) and
+    c != 0.  Then c^((q-1)/ell) = N(c)^((p-1)/ell) with N the norm to F_p,
+    so whether c is an ell-th power is decided in F_p.  With
+    q - 1 = ell^s * t, r = c^(ell^-1 mod t) satisfies r^ell = c * e for some
+    e in the ell-Sylow subgroup; a Pohlig-Hellman logarithm of e to the base
+    g corrects r inside that subgroup.  The other roots are r * zeta^i with
+    zeta = g^(ell^(s-1)).
     """
+    p = fld.p
     if not is_prime(ell):
         raise NotPrimeError(f"ell = {ell} is not prime")
-    if (fld.order - 1) % ell != 0:
-        raise DivisibilityError(f"ell = {ell} does not divide q - 1 = {fld.order - 1}")
+    if (p - 1) % ell != 0:
+        raise DivisibilityError(f"ell = {ell} does not divide p - 1 = {p - 1}")
     if c == fld.zero:
         raise ZeroArgumentError("x^ell - 0 is not squarefree")
-    if fld.pow(c, (fld.order - 1) // ell) != fld.one:
+    if pow(fld.norm(c), (p - 1) // ell, p) != 1:
         return ()
     s, t, g = _ell_sylow(fld, ell)
     sylow = ell**s

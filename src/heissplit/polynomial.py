@@ -9,11 +9,12 @@ choices vary).  No production path calls it or ``roots_in_field``: they
 are the reference the tests compare against.
 
 ``factor_binomial`` is the engine of the splitting oracle, whose every
-polynomial is a binomial x^ell - c over F_q with ell a prime dividing
-q - 1.  Such a binomial splits into ell linear factors when c is an ell-th
-power and is irreducible otherwise (Lidl-Niederreiter, *Finite Fields*,
-Thm 3.75), so one power c^((q-1)/ell) decides it and the certified ell-th
-roots of ``finite_field.binomial_roots`` give every factor.  It uses no
+polynomial is a binomial x^ell - c over F_q = F_{p^m} with ell a prime
+dividing p - 1.  Such a binomial splits into ell linear factors when c is
+an ell-th power and is irreducible otherwise (Lidl-Niederreiter, *Finite
+Fields*, Thm 3.75), so the power c^((q-1)/ell) = N(c)^((p-1)/ell) of the
+norm N(c) in F_p decides it and the certified ell-th roots of
+``finite_field.binomial_roots`` give every factor.  It uses no
 randomness, returns exactly what ``factor`` returns, and certifies each
 answer: the root satisfies r^ell = c, the factors re-multiply to the
 binomial, and an irreducible binomial passes Ben-Or's test, which
@@ -504,7 +505,7 @@ def roots_in_field(f: Poly) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Binomials x^ell - c with ell prime and ell | q - 1
+# Binomials x^ell - c with ell prime and ell | p - 1
 # ---------------------------------------------------------------------------
 
 
@@ -512,7 +513,7 @@ def factor_binomial(fld, ell: int, c) -> Factorization:
     """``factor(binomial(fld, ell, c), seed)`` for every seed, with no
     randomness: the same monic factors in the same canonical order, unit 1.
 
-    Requires ell prime (else NotPrimeError), ell | q - 1 (else
+    Requires ell prime (else NotPrimeError), ell | p - 1 (else
     DivisibilityError) and c != 0 (else ZeroArgumentError).
     """
     f = binomial(fld, ell, c)

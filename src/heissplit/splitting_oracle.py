@@ -7,9 +7,10 @@ factors it directly: one prime of K per pair (irreducible factor of
 u^ell - a over F_p, irreducible factor of v^ell - (1 - a) over the residue
 field of the first factor).
 
-Every polynomial factored here is a binomial x^ell - c over a field F_q
-with ell | q - 1 (zeta lies in F_p).  ``polynomial.factor_binomial`` decides
-it with one power c^((q-1)/ell): ell linear factors when c is an ell-th
+Every polynomial factored here is a binomial x^ell - c over a field
+F_q = F_{p^m} with ell | p - 1 (zeta lies in F_p).
+``polynomial.factor_binomial`` decides it by the norm N(c) to F_p, with
+c^((q-1)/ell) = N(c)^((p-1)/ell): ell linear factors when c is an ell-th
 power, irreducible otherwise (Lidl-Niederreiter, *Finite Fields*,
 Thm 3.75).  The roots come from one ell-th root r of c, certified by
 r^ell = c; the factors are certified to re-multiply to the binomial, and an
@@ -182,7 +183,7 @@ def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
         # so the factor pattern of z^ell - eps does not depend on the shift.
         eps1 = epsilon_value(ctx, kp.x_image, shift=1, field=fld)
         ratio = fld.mul(eps1, fld.inv(eps))
-        assert fld.pow(ratio, (fld.order - 1) // ell) == fld.one
+        assert pow(fld.norm(ratio), ctx.cofactor, ctx.p) == 1
         z_fac = factor_binomial(fld, ell, eps)
         assert all(mult == 1 for _, mult in z_fac)
         for iz, (z_factor, _) in enumerate(z_fac.factors):

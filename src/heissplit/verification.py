@@ -166,7 +166,11 @@ def determinant(field, rows: list[list]) -> object:
 
 
 def _element_of_order(field, ell: int):
-    """The second root of x^ell - 1 by key (the first is 1): order ell."""
+    """The second root of x^ell - 1 by key (the first is 1): order ell.
+
+    ``binomial_roots`` requires ell | p - 1, so an extension field whose
+    order q has only ell | q - 1 raises DivisibilityError.
+    """
     if (field.order - 1) % ell != 0:
         raise NoRootOfUnityError(
             f"field of order {field.order} has no element of order {ell}"

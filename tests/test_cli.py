@@ -199,6 +199,7 @@ class TestJobFile:
         captured = capsys.readouterr()
         assert code == 2  # argparse: scan needs -l
         assert "7,3,2," in captured.out
+        assert "job line 1" in captured.err
 
 
 class TestJobs:

@@ -17,7 +17,10 @@ from heissplit import (
     NotPrimeError,
     PrimeField,
     ZeroArgumentError,
+    binomial_roots,
     build_extension,
+    epsilon_value,
+    factor_binomial,
     is_prime,
     lth_root,
     make_context,
@@ -36,6 +39,33 @@ def brute_order(g: int, p: int) -> int:
         x = x * g % p
         n += 1
     return n
+
+
+def reference_pow(fld, a, e: int):
+    """Right-to-left binary powering, the old ``ExtField.pow`` (e >= 0)."""
+    acc, base = fld.one, a
+    while e:
+        if e & 1:
+            acc = fld.mul(acc, base)
+        base = fld.mul(base, base)
+        e >>= 1
+    return acc
+
+
+def reference_epsilon(ctx: Context, root_x, shift: int, fld):
+    """The old ``epsilon_value`` loop: acc *= (1 - zeta^(i+shift) x)^i."""
+    zeta = fld.embed(ctx.zeta)
+    acc = fld.one
+    w = reference_pow(fld, zeta, (1 + shift) % ctx.ell)
+    for i in range(1, ctx.ell):
+        term = fld.sub(fld.one, fld.mul(w, root_x))
+        acc = fld.mul(acc, reference_pow(fld, term, i))
+        w = fld.mul(w, zeta)
+    return acc
+
+
+def all_elements(fld):
+    return [tuple(n // fld.p**i % fld.p for i in range(fld.degree)) for n in range(fld.order)]
 
 
 def brute_primitive_root(p: int) -> int:
@@ -263,6 +293,82 @@ class TestBuildExtension:
                 continue
             assert ext.mul(x, ext.inv(x)) == ext.one
             assert ext.pow(x, ext.order - 1) == ext.one
+
+
+class TestFrobeniusNormPow:
+    """The Frobenius matrix, the norm and the powering kernels against the
+    definitions they replace."""
+
+    @staticmethod
+    def _elements(p, m):
+        fld = build_extension(p, m)
+        if fld.order <= 125:
+            return fld, all_elements(fld)
+        rng = random.Random(p * 100 + m)
+        return fld, [fld.sample(rng) for _ in range(200)]
+
+    @pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (7, 2), (61, 5), (71, 5)])
+    def test_frobenius_and_norm_match_powers(self, p, m):
+        fld, elems = self._elements(p, m)
+        norm_exp = (fld.order - 1) // (p - 1)
+        for a in elems:
+            assert fld.frobenius(a) == reference_pow(fld, a, p)
+            full = reference_pow(fld, a, norm_exp)
+            assert not any(full[1:])
+            assert fld.norm(a) == full[0]
+        assert prime_field(p).norm(p - 1) == p - 1
+
+    @pytest.mark.parametrize("p,m", [(13, 1), (3, 4), (7, 2), (13, 2), (61, 5)])
+    def test_pow_equals_repeated_multiplication(self, p, m):
+        fld = build_extension(p, m)
+        rng = random.Random(p + m)
+        bases = [fld.sample(rng) for _ in range(4)]
+        bases += [fld.embed(2), fld.embed(p - 1), fld.one]
+        for a in bases:
+            if a == fld.zero:
+                continue
+            inverse = fld.inv(a)
+            for e in range(-2 * m, 3 * m + 1):
+                expected = fld.one
+                for _ in range(abs(e)):
+                    expected = fld.mul(expected, a if e > 0 else inverse)
+                assert fld.pow(a, e) == expected, (a, e)
+                assert fld.mul(fld.pow(a, -e), fld.pow(a, e)) == fld.one
+            big = (fld.order - 1) // 3 + 7
+            assert fld.pow(a, big) == reference_pow(fld, a, big)
+        assert fld.pow(fld.zero, 0) == fld.one
+        for e in range(1, 3 * m + 1):
+            assert fld.pow(fld.zero, e) == fld.zero
+        with pytest.raises(ZeroArgumentError):
+            fld.pow(fld.zero, -1)
+
+    @pytest.mark.parametrize("p,ell", [(13, 2), (31, 3), (11, 5), (29, 7)])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_epsilon_matches_power_loop(self, p, ell, m):
+        ctx = make_context(p, ell)
+        fld = build_extension(p, m)
+        rng = random.Random(p * ell + m)
+        checked = 0
+        while checked < 6:
+            x = fld.sample(rng)
+            if x == fld.zero or reference_pow(fld, x, ell) == fld.one:
+                continue
+            for shift in range(ell):
+                assert epsilon_value(ctx, x, shift=shift, field=fld) == reference_epsilon(
+                    ctx, x, shift, fld
+                )
+            checked += 1
+
+    @pytest.mark.parametrize("p,m", [(5, 2), (2, 2)])
+    def test_binomials_need_ell_dividing_p_minus_1(self, p, m):
+        # ell = 3 divides q - 1 in F_25 and F_4 but not p - 1
+        fld = build_extension(p, m)
+        assert (fld.order - 1) % 3 == 0 and (p - 1) % 3 != 0
+        c = fld.embed(1)
+        with pytest.raises(DivisibilityError):
+            binomial_roots(fld, 3, c)
+        with pytest.raises(DivisibilityError):
+            factor_binomial(fld, 3, c)
 
 
 class TestPrimeFieldOps:

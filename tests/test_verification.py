@@ -12,6 +12,7 @@ from heissplit import (
     check_block_det,
     discriminant_ratio_check,
     make_context,
+    power_residue_symbol,
     prime_field,
     verify_theorems_scan,
 )
@@ -55,6 +56,27 @@ class TestScan:
             rec = scan_point(ctx, a, seed=7)
             assert rec.agree, a
             assert rec.bound_ok and rec.oracle_R.prime_count in (ell**3, ell**2), a
+
+    def test_full_split_ell5_full_scan(self):
+        # p = 151 is the first prime where some (t - a) splits completely in
+        # the ell = 5 cover, so the count-ell^3 side of the criterion runs
+        result = verify_theorems_scan(make_context(151, 5), seed=7)
+        assert not result.failures
+        assert all(r.agree for r in result.records)
+        assert any(r.oracle_R.prime_count == 5**3 for r in result.records)
+
+    @pytest.mark.parametrize("p,ell", [(379, 7), (331, 11)])
+    def test_full_split_at_doubly_trivial_points(self, p, ell):
+        # a full split needs both symbols of (a, 1 - a) trivial
+        ctx = make_context(p, ell)
+        counts = []
+        for a in admissible_values(ctx):
+            if power_residue_symbol(ctx, a) or power_residue_symbol(ctx, (1 - a) % p):
+                continue
+            rec = scan_point(ctx, a, seed=7)
+            assert rec.agree and rec.bound_ok, a
+            counts.append(rec.oracle_R.prime_count)
+        assert ell**3 in counts
 
     def test_summary_totals(self):
         result = verify_theorems_scan(make_context(13, 2), seed=7)
