@@ -146,6 +146,16 @@ def expand_a_poly(ctx: Context) -> Poly:
     an ell-th root of a, verifies that only exponents divisible by ell
     survive (raising PolynomialityViolationError otherwise, which would be a
     bug), contracts s^ell -> a and divides by ell.
+
+    Cost: for ell = 2 each of the two shifted bases is linear, and its
+    (p - 1)/2-th power is the binomial expansion in O(p) modular
+    multiplications.  For ell >= 3 each of the ell bases has degree
+    ell(ell - 1)/2 and is powered by about log2(p) Kronecker products, the
+    last one of about (ell - 1) p / 2 coefficients, so CPython's Karatsuba
+    multiply sets the cost.  The sum over shifts, the divisibility check and
+    the contraction are O(ell^2 p) steps of Python.  Measured on a shared
+    2-core host: (200003, 2) 150 ms, (1117, 3) 14 ms, (10009, 3) 150 ms,
+    (2011, 5) 71 ms, (547, 7) 32 ms.
     """
     p, ell = ctx.p, ctx.ell
     fld = prime_field(p)

@@ -24,12 +24,25 @@ F_p images.
 
 Coefficients are stored lowest degree first and live in the coefficient
 field's element representation (ints for F_p, tuples for F_{p^m}).
+
+Over F_p, three kernels carry the criterion polynomial of ``heis_arith``
+(degree up to about (ell - 1) p / 2).  ``__mul__`` stays schoolbook: the
+oracle's products have degree at most a few, where packing costs more than
+it saves.  ``__pow__`` expands a linear base by the binomial theorem with
+one modular inverse, and powers every other base by square-and-multiply in
+which each product is one big-int multiply of Kronecker-packed coefficients
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comp. 2009).  ``evaluate`` uses rectangular
+splitting (Paterson-Stockmeyer, SIAM J. Comput. 1973), so its inner loop
+is a builtin dot product over blocks of about sqrt(n) coefficients.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
+from operator import mul
 
 from .errors import (
     MixedModulusError,
@@ -209,37 +222,57 @@ class Poly:
         return Poly(f, out)
 
     def __pow__(self, e: int) -> "Poly":
+        """self^e.  Over F_p, a linear base with e < p is expanded by the
+        binomial theorem, and every other base by square-and-multiply with
+        each product a single big-int multiply (Kronecker substitution,
+        ``_kronecker_mul``; Harvey, "Faster polynomial multiplication via
+        multipoint Kronecker substitution", J. Symb. Comp. 2009).  Over an
+        extension field it is square-and-multiply with schoolbook products.
+        """
         if e < 0:
             raise ValueError("negative polynomial power")
         f = self.field
         if e == 0:
             return Poly.one(f)
-        # binomial fast path: (c0 + c1 x)^e coefficientwise over F_p
-        if isinstance(f, PrimeField) and self.degree == 1 and e < f.p:
-            p = f.p
+        if not isinstance(f, PrimeField) or self.is_zero:
+            acc = Poly.one(f)
+            base = self
+            while e:
+                if e & 1:
+                    acc = acc * base
+                base = base * base
+                e >>= 1
+            return acc
+        p = f.p
+        if self.degree == 1 and e < p:
+            # (c0 + c1 x)^e has coefficients C(e, k) c0^(e-k) c1^k: the
+            # forward pass leaves e(e-1)...(e-k+1) c1^k in out[k], so out[e]
+            # is e! c1^e; the backward pass multiplies out[k] by
+            # c0^(e-k) / k!, starting from 1/e! = c1^e / out[e], the one
+            # inverse (k <= e < p keeps every k! invertible).
             c0, c1 = self.coeffs
-            out = [0] * (e + 1)
-            binom = 1
-            pow0 = pow(c0, e, p)
-            inv0 = pow(c0, -1, p) if c0 else None
-            if inv0 is None:
-                # pure monomial plus nothing: c0 == 0
+            if c0 == 0:
                 return Poly(f, [0] * e + [pow(c1, e, p)])
-            acc = pow0
-            for k in range(e + 1):
-                out[k] = binom * acc % p
-                if k < e:  # k + 1 <= e < p stays invertible
-                    binom = binom * (e - k) % p * pow(k + 1, -1, p) % p
-                    acc = acc * inv0 % p * c1 % p
+            out = [0] * (e + 1)
+            t = 1
+            for k in range(e):
+                out[k] = t
+                t = t * (e - k) * c1 % p
+            out[e] = t
+            s = pow(c1, e, p) * pow(t, -1, p) % p
+            for k in range(e, -1, -1):
+                out[k] = out[k] * s % p
+                s = s * k * c0 % p
             return Poly(f, out)
-        acc = Poly.one(f)
-        base = self
-        while e:
+        acc = None
+        base = self.coeffs
+        while True:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else _kronecker_mul(acc, base, p)
             e >>= 1
-        return acc
+            if not e:
+                return Poly(f, acc)
+            base = _kronecker_mul(base, base, p)
 
     def pow_mod(self, e: int, modulus: "Poly") -> "Poly":
         """self^e reduced modulo ``modulus``."""
@@ -253,12 +286,27 @@ class Poly:
         return acc
 
     def evaluate(self, x):
+        """self(x).  Over F_p by rectangular splitting (Paterson-Stockmeyer,
+        SIAM J. Comput. 1973): with b = isqrt(n) for n coefficients, each
+        block of b coefficients is a dot product with x^0..x^(b-1), and
+        Horner's rule in x^b runs over the blocks.  Over an extension field
+        it is Horner's rule.
+        """
         f = self.field
         if isinstance(f, PrimeField):
             p = f.p
+            coeffs = self.coeffs
+            n = len(coeffs)
+            if not n:
+                return 0
+            b = isqrt(n)
+            pows = [1] * b
+            for j in range(1, b):
+                pows[j] = pows[j - 1] * x % p
+            xb = pows[-1] * x % p
             acc = 0
-            for c in reversed(self.coeffs):
-                acc = (acc * x + c) % p
+            for i in range((n - 1) // b * b, -1, -b):
+                acc = (acc * xb + sum(map(mul, coeffs[i:i + b], pows))) % p
             return acc
         acc = f.zero
         for c in reversed(self.coeffs):
@@ -292,6 +340,26 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{i}" if c != self.field.one else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _kronecker_mul(a, b, p: int) -> list:
+    """Product of two nonempty reduced coefficient lists over F_p, by
+    Kronecker substitution: pack each list into one int, slot by slot,
+    multiply once, unpack and reduce.  A product coefficient is a sum of at
+    most min(len a, len b) terms of at most (p - 1)^2, so a slot of
+    ceil((2 bitlen(p - 1) + bitlen(min(len a, len b))) / 8) bytes holds it
+    without carries into the next slot.
+    """
+    w = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+
+    def pack(cs):
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
+
+    pa = pack(a)
+    prod = pa * (pa if a is b else pack(b))
+    n = len(a) + len(b) - 1
+    raw = prod.to_bytes(n * w, "little")
+    return [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, n * w, w)]
 
 
 def binomial(field, n: int, c) -> Poly:

@@ -351,8 +351,9 @@ def test_criterion_9_polynomiality():
     tested = 0
     combos = (
         [(p, 2) for p in primes_upto(500, start=3)]
-        + [(p, 3) for p in primes_upto(200) if (p - 1) % 3 == 0]
-        + [(p, 5) for p in primes_upto(100) if (p - 1) % 5 == 0]
+        + [(p, 3) for p in primes_upto(1999) if (p - 1) % 3 == 0]
+        + [(p, 5) for p in primes_upto(999) if (p - 1) % 5 == 0]
+        + [(p, 7) for p in primes_upto(599) if (p - 1) % 7 == 0]
     )
     for p, ell in combos:
         ctx = make_context(p, ell)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from heissplit import cli
+from heissplit import a_ell_value, a_poly_eval, cli, make_context, power_residue_symbol
 from heissplit.cli import main, _parse_p_spec
 
 
@@ -63,6 +63,23 @@ class TestSimpleCommands:
         code, out, _ = run(capsys, "apoly", "-p", "5", "-l", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)[0]["coeffs"] == [1, 1]
+
+    def test_apoly_p10009_ell3(self, capsys):
+        # 3 divides 10008; the expansion has (p - 1) / 3 + 1 coefficients
+        code, out, _ = run(capsys, "apoly", "-p", "10009", "-l", "3")
+        assert code == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert row[:3] == ["10009", "3", "3336"]
+        assert len(row[3].split(";")) == 3337
+        ctx = make_context(10009, 3)
+        both_trivial = [
+            a for a in range(2, ctx.p)
+            if power_residue_symbol(ctx, a) == 0
+            and power_residue_symbol(ctx, (1 - a) % ctx.p) == 0
+        ][:20]
+        assert len(both_trivial) == 20
+        for a in both_trivial:
+            assert a_ell_value(ctx, a) == a_poly_eval(ctx, a), a
 
     def test_avalue_methods(self, capsys):
         code, out, _ = run(capsys, "avalue", "-p", "31", "-l", "3", "-a", "2",

@@ -1,6 +1,7 @@
 """Polynomial arithmetic and the factorization engine."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,101 @@ class TestArithmetic:
         f = poly_from(F7, 1, 2, 1)  # (x + 1)^2
         for x in range(7):
             assert f.evaluate(x) == (x + 1) ** 2 % 7
+
+
+def schoolbook_mul(a, b, p):
+    """Reference product of two F_p coefficient lists, lowest degree first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def horner(coeffs, x, p):
+    """Reference evaluation of an F_p coefficient list at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+class TestPrimeFieldKernels:
+    """``__pow__`` (binomial branch and Kronecker products) and
+    ``evaluate`` (rectangular splitting) over F_p against schoolbook
+    multiplication and Horner's rule."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 61, 200003])
+    def test_pow_matches_repeated_schoolbook(self, p):
+        fld = prime_field(p)
+        rng = random.Random(p)
+        max_e = min(3 * p, 64)
+        for deg in range(7):
+            for trial in range(3):
+                coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+                if deg == 1 and trial == 0:
+                    coeffs[0] = 0  # c0 = 0: a monomial
+                if trial == 2:
+                    coeffs = [p - 1] * (deg + 1)  # largest coefficients
+                f = Poly(fld, coeffs)
+                ref = [1]
+                for e in range(max_e + 1):
+                    assert (f**e).coeffs == tuple(ref), (coeffs, e)
+                    ref = schoolbook_mul(ref, coeffs, p)
+
+    @pytest.mark.parametrize("p", [3, 7, 61])
+    def test_linear_base_with_e_at_least_p(self, p):
+        # e >= p leaves the binomial branch, where k! would vanish mod p
+        fld = prime_field(p)
+        for c0, c1 in [(1, 1), (p - 1, 2), (0, p - 1)]:
+            f = Poly(fld, (c0, c1))
+            ref = [1]
+            for e in range(3 * p + 2):
+                if e >= p - 1:
+                    assert (f**e).coeffs == tuple(ref), (c0, c1, e)
+                ref = schoolbook_mul(ref, [c0, c1], p)
+
+    def test_binomial_branch_at_large_exponent(self):
+        p = 200003
+        fld = prime_field(p)
+        e = (p - 1) // 2
+        for c0, c1 in [(1, p - 1), (5, 7), (0, 3)]:
+            got = (Poly(fld, (c0, c1)) ** e).coeffs
+            assert len(got) == e + 1
+            for k in (0, 1, 2, 1000, e - 1000, e - 1, e):
+                want = comb(e, k) * pow(c0, e - k, p) * pow(c1, k, p) % p
+                assert got[k] == want, k
+
+    def test_pow_of_degree_over_500(self):
+        p = 200003
+        fld = prime_field(p)
+        rng = random.Random(500)
+        coeffs = [rng.randrange(p) for _ in range(6)] + [p - 1]
+        f = Poly(fld, coeffs)
+        ref = [1]
+        for _ in range(90):
+            ref = schoolbook_mul(ref, coeffs, p)
+        got = f**90
+        assert got.degree == 540
+        assert got.coeffs == tuple(ref)
+
+    @pytest.mark.parametrize("p", [2, 7, 61, 200003])
+    def test_evaluate_around_every_block_boundary(self, p):
+        k = 7
+        fld = prime_field(p)
+        rng = random.Random(p)
+        points = [0, 1, p - 1] + [rng.randrange(p) for _ in range(4)]
+        for n in range(k * k + 2):
+            coeffs = [rng.randrange(p) for _ in range(n)]
+            if n:
+                coeffs[-1] = rng.randrange(1, p)
+            f = Poly(fld, coeffs)
+            for x in points:
+                assert f.evaluate(x) == horner(coeffs, x, p), (n, x)
 
 
 class TestFactor:
