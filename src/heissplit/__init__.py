@@ -56,6 +56,7 @@ from .heisenberg import (
 )
 from .polynomial import (
     Factorization,
+    PackedPoly,
     Poly,
     binomial,
     count_irreducible_factors,

@@ -25,16 +25,19 @@ F_p images.
 Coefficients are stored lowest degree first and live in the coefficient
 field's element representation (ints for F_p, tuples for F_{p^m}).
 
-Over F_p, three kernels carry the criterion polynomial of ``heis_arith``
-(degree up to about (ell - 1) p / 2).  ``__mul__`` stays schoolbook: the
-oracle's products have degree at most a few, where packing costs more than
-it saves.  ``__pow__`` expands a linear base by the binomial theorem with
-one modular inverse, and powers every other base by square-and-multiply in
-which each product is one big-int multiply of Kronecker-packed coefficients
-(Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symb. Comp. 2009).  ``evaluate`` uses rectangular
-splitting (Paterson-Stockmeyer, SIAM J. Comput. 1973), so its inner loop
-is a builtin dot product over blocks of about sqrt(n) coefficients.
+Over F_p, two kernels and one packed form carry the criterion polynomial
+of ``heis_arith`` (degree up to about (ell - 1) p / 2).  ``__mul__`` stays
+schoolbook: the oracle's products have degree at most a few, where packing
+costs more than it saves.  ``__pow__`` expands a linear base by the
+binomial theorem with one modular inverse, and powers every other base by
+square-and-multiply in which each product is one big-int multiply of
+Kronecker-packed coefficients (Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", J. Symb. Comp. 2009).
+``PackedPoly`` keeps a polynomial as about sqrt(n) packed rows and
+evaluates it with a baby-step/giant-step split (Paterson-Stockmeyer, SIAM
+J. Comput. 1973) in which the giant steps are big-by-small multiplies.
+``evaluate`` is Horner's rule over every field, the reference the tests
+hold the packed form to.
 """
 
 from __future__ import annotations
@@ -123,21 +126,26 @@ class Poly:
         self._same_field(other)
         f = self.field
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
+        if isinstance(f, PrimeField):
+            p = f.p
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            out = [f.add(x, y) for x, y in zip(a, b)]
+        out += a[len(b):] + b[len(a):]  # the longer one's tail
         return Poly(f, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._same_field(other)
         f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [f.zero] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = f.sub(a[i], c)
-        return Poly(f, a)
+        a, b = self.coeffs, other.coeffs
+        if isinstance(f, PrimeField):
+            p = f.p
+            out = [(x - y) % p for x, y in zip(a, b)]
+        else:
+            out = [f.sub(x, y) for x, y in zip(a, b)]
+        out += a[len(b):]
+        out += [f.neg(y) for y in b[len(a):]]
+        return Poly(f, out)
 
     def __neg__(self) -> "Poly":
         f = self.field
@@ -286,28 +294,9 @@ class Poly:
         return acc
 
     def evaluate(self, x):
-        """self(x).  Over F_p by rectangular splitting (Paterson-Stockmeyer,
-        SIAM J. Comput. 1973): with b = isqrt(n) for n coefficients, each
-        block of b coefficients is a dot product with x^0..x^(b-1), and
-        Horner's rule in x^b runs over the blocks.  Over an extension field
-        it is Horner's rule.
-        """
+        """self(x) by Horner's rule.  Repeated evaluation of one long
+        polynomial over F_p belongs to ``PackedPoly``."""
         f = self.field
-        if isinstance(f, PrimeField):
-            p = f.p
-            coeffs = self.coeffs
-            n = len(coeffs)
-            if not n:
-                return 0
-            b = isqrt(n)
-            pows = [1] * b
-            for j in range(1, b):
-                pows[j] = pows[j - 1] * x % p
-            xb = pows[-1] * x % p
-            acc = 0
-            for i in range((n - 1) // b * b, -1, -b):
-                acc = (acc * xb + sum(map(mul, coeffs[i:i + b], pows))) % p
-            return acc
         acc = f.zero
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)
@@ -350,16 +339,67 @@ def _kronecker_mul(a, b, p: int) -> list:
     ceil((2 bitlen(p - 1) + bitlen(min(len a, len b))) / 8) bytes holds it
     without carries into the next slot.
     """
-    w = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
-
-    def pack(cs):
-        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
-
-    pa = pack(a)
-    prod = pa * (pa if a is b else pack(b))
+    w = _slot_bytes(p, min(len(a), len(b)))
+    pa = _pack(a, w)
+    prod = pa * (pa if a is b else _pack(b, w))
     n = len(a) + len(b) - 1
     raw = prod.to_bytes(n * w, "little")
     return [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, n * w, w)]
+
+
+def _slot_bytes(p: int, terms: int) -> int:
+    """Bytes of a slot that holds a sum of ``terms`` products of two
+    reduced residues mod p, each at most (p - 1)^2, without a carry."""
+    return (2 * (p - 1).bit_length() + terms.bit_length() + 7) // 8
+
+
+def _pack(cs, w: int) -> int:
+    """The ints ``cs`` (each below 2^(8 w)) as one int, ``w`` bytes per
+    slot, lowest slot first."""
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+
+
+class PackedPoly:
+    """A polynomial over F_p packed for repeated evaluation.
+
+    The n coefficients are cut into J rows of b = isqrt(n) (at least 1),
+    and row j is the int R_j = sum_t c_(jb+t) 2^(8 w t) (``_pack``).  To
+    evaluate at x, put y = x^b; then S = sum_j (y^j mod p) R_j takes J
+    big-by-small multiplies, and slot t of S is sum_j c_(jb+t) y^j, below
+    J (p - 1)^2, so with w = ``_slot_bytes(p, J)`` no slot carries into the
+    next.  Horner's rule in x over the b slots of S gives the value.  This
+    is the baby-step/giant-step split of Paterson-Stockmeyer (SIAM J.
+    Comput. 1973) with the giant steps done in Kronecker-packed big-int
+    arithmetic (Harvey, J. Symb. Comp. 2009).  An evaluation costs about
+    sqrt(n) multiplies of n w / sqrt(n)-byte ints by residues, and the
+    storage is about n w bytes.
+    """
+
+    __slots__ = ("p", "b", "w", "rows")
+
+    def __init__(self, poly: Poly):
+        if not isinstance(poly.field, PrimeField):
+            raise TypeError("PackedPoly needs a polynomial over F_p")
+        coeffs = poly.coeffs
+        n = len(coeffs)
+        b = max(1, isqrt(n))
+        self.p = poly.field.p
+        self.b = b
+        self.w = _slot_bytes(self.p, -(-n // b))
+        self.rows = tuple(_pack(coeffs[i:i + b], self.w) for i in range(0, n, b))
+
+    def evaluate(self, x: int) -> int:
+        """The polynomial at x, for x in [0, p)."""
+        p, b, w = self.p, self.b, self.w
+        y = pow(x, b, p)
+        ys = [1] * len(self.rows)
+        for j in range(1, len(ys)):
+            ys[j] = ys[j - 1] * y % p
+        raw = sum(map(mul, ys, self.rows)).to_bytes(b * w, "little")
+        acc = 0
+        for i in range((b - 1) * w, -1, -w):
+            acc = (acc * x + int.from_bytes(raw[i:i + w], "little")) % p
+        return acc
 
 
 def binomial(field, n: int, c) -> Poly:

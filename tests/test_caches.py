@@ -13,7 +13,7 @@ import heissplit
 
 PACKAGE_DIR = Path(heissplit.__file__).parent
 # keyed by p, (p, m), the context and ell: one entry per prime or ell in use
-UNBOUNDED = {"prime_field", "build_extension", "expand_a_poly", "conjugacy_classes"}
+UNBOUNDED = {"prime_field", "build_extension", "packed_a_poly", "conjugacy_classes"}
 
 
 def _name(node) -> str | None:

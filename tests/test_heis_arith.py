@@ -1,6 +1,9 @@
 """Criterion formulas: unit products, A-values, polynomial expansion,
 classification, and the Frobenius-side prediction."""
 
+import dataclasses
+import sys
+
 import pytest
 
 from heissplit import heis_arith
@@ -8,6 +11,7 @@ from heissplit import (
     DegenerateSpecializationError,
     DegenerateValueError,
     NotResidueError,
+    PolynomialityViolationError,
     WrongEllError,
     ZeroArgumentError,
     a2_value,
@@ -30,7 +34,10 @@ from heissplit.heis_arith import (
     A2_ZERO,
     a2_by_closed_form,
     a2_by_recurrence,
+    packed_a_poly,
 )
+from heissplit.polynomial import PackedPoly
+from heissplit.verification import admissible_values
 
 C5 = make_context(5, 2)
 C13 = make_context(13, 2)
@@ -142,8 +149,80 @@ class TestExpandAPoly:
             poly = expand_a_poly(make_context(p, ell))
             assert poly.coeffs[0] == 1
 
+    def test_wrong_zeta_breaks_polynomiality(self):
+        # zeta not an ell-th root of unity: the shifts no longer cancel the
+        # exponents prime to ell, and the check must say so
+        for p, ell, zeta in ((13, 2, 5), (13, 3, 2), (31, 5, 3)):
+            ctx = dataclasses.replace(make_context(p, ell), zeta=zeta)
+            with pytest.raises(PolynomialityViolationError, match=f"not divisible by {ell}"):
+                expand_a_poly(ctx)
+
     def test_memoized_per_context(self):
-        assert expand_a_poly(make_context(13, 2)) is expand_a_poly(make_context(13, 2))
+        # the packed form is the one per-context cache of A_ell
+        assert packed_a_poly(make_context(13, 2)) is packed_a_poly(make_context(13, 2))
+
+
+class TestPackedAPoly:
+    def test_memory_within_slot_bound(self):
+        # n w bytes of slots, stored as 30-bit digits in 4 bytes (16/15),
+        # plus an int header per row and the row tuple
+        ctx = make_context(200003, 2)
+        coeffs = expand_a_poly(ctx).coeffs
+        packed = packed_a_poly(ctx)
+        rows = packed.rows
+        size = sys.getsizeof(packed) + sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+        assert size <= len(coeffs) * packed.w * 16 // 15 + 100 * len(rows)
+        assert 4 * size < sys.getsizeof(coeffs) + sum(map(sys.getsizeof, coeffs))
+
+    def test_an_off_by_one_evaluation_is_caught(self, monkeypatch):
+        # the cross-checks are live: one wrong packed value at one a makes
+        # both a2_value and a_ell_value raise there, and only there
+        trivial = [
+            a
+            for a in range(2, 31)
+            if power_residue_symbol(C31, a) == 0
+            and power_residue_symbol(C31, (1 - a) % 31) == 0
+        ]
+        assert len(trivial) > 1
+        wrong_at = {13: 5, 31: trivial[0]}
+        evaluate = PackedPoly.evaluate
+
+        def off_by_one(packed, x):
+            value = evaluate(packed, x)
+            return (value + 1) % packed.p if wrong_at.get(packed.p) == x else value
+
+        monkeypatch.setattr(PackedPoly, "evaluate", off_by_one)
+        with pytest.raises(AssertionError):
+            a2_value(C13, 5)
+        with pytest.raises(AssertionError):
+            a_ell_value(C31, trivial[0])
+        for a in range(6, 13):
+            a2_value(C13, a)
+        for a in trivial[1:]:
+            a_ell_value(C31, a)
+
+
+class TestWholeTable:
+    """The packed polynomial against the fast criterion value at every a
+    where the criterion defines it, at one mid-sized p per ell."""
+
+    def test_ell2_every_admissible_a(self):
+        ctx = make_context(20011, 2)
+        packed = packed_a_poly(ctx)
+        half = (ctx.p - 1) // 2
+        for a in admissible_values(ctx):
+            assert packed.evaluate(a) == a2_by_recurrence(ctx.p, a, half), a
+
+    def test_ell5_every_doubly_trivial_a(self):
+        ctx = make_context(2011, 5)
+        packed = packed_a_poly(ctx)
+        points = 0
+        for a in admissible_values(ctx):
+            if power_residue_symbol(ctx, a) or power_residue_symbol(ctx, (1 - a) % ctx.p):
+                continue
+            points += 1
+            assert packed.evaluate(a) == a_ell_value(ctx, a), a
+        assert points > 40
 
 
 class TestAEllValue:

@@ -12,6 +12,7 @@ from heissplit import (
     ExtField,
     NotPrimeError,
     NotSquarefreeError,
+    PackedPoly,
     Poly,
     ZeroArgumentError,
     ZeroPolynomialError,
@@ -88,6 +89,25 @@ class TestArithmetic:
         for x in range(7):
             assert f.evaluate(x) == (x + 1) ** 2 % 7
 
+    @pytest.mark.parametrize("field", [F7, build_extension(7, 2)], ids=["F7", "F49"])
+    def test_add_sub_coefficientwise(self, field):
+        rng = random.Random(7)
+        elems = [field.embed(c) for c in range(7)]
+        if field.degree == 2:
+            elems = [(a, b) for a in range(7) for b in range(7)]
+        for la in range(5):
+            for lb in range(5):
+                a = [rng.choice(elems) for _ in range(la)]
+                b = [rng.choice(elems) for _ in range(lb)]
+                pad = max(la, lb)
+                a0 = a + [field.zero] * (pad - la)
+                b0 = b + [field.zero] * (pad - lb)
+                pa, pb = Poly(field, a), Poly(field, b)
+                assert pa + pb == Poly(field, map(field.add, a0, b0))
+                assert pa - pb == Poly(field, map(field.sub, a0, b0))
+                assert (pa - pa).is_zero
+                assert pa + pb - pb == pa
+
 
 def schoolbook_mul(a, b, p):
     """Reference product of two F_p coefficient lists, lowest degree first."""
@@ -112,8 +132,8 @@ def horner(coeffs, x, p):
 
 class TestPrimeFieldKernels:
     """``__pow__`` (binomial branch and Kronecker products) and
-    ``evaluate`` (rectangular splitting) over F_p against schoolbook
-    multiplication and Horner's rule."""
+    ``PackedPoly.evaluate`` over F_p against schoolbook multiplication and
+    Horner's rule."""
 
     @pytest.mark.parametrize("p", [2, 3, 7, 61, 200003])
     def test_pow_matches_repeated_schoolbook(self, p):
@@ -169,8 +189,9 @@ class TestPrimeFieldKernels:
         assert got.degree == 540
         assert got.coeffs == tuple(ref)
 
-    @pytest.mark.parametrize("p", [2, 7, 61, 200003])
+    @pytest.mark.parametrize("p", [2, 3, 7, 61, 200003, 2**31 - 1])
     def test_evaluate_around_every_block_boundary(self, p):
+        # every n in [0, k^2 + 1] crosses each row boundary of b = isqrt(n)
         k = 7
         fld = prime_field(p)
         rng = random.Random(p)
@@ -180,8 +201,29 @@ class TestPrimeFieldKernels:
             if n:
                 coeffs[-1] = rng.randrange(1, p)
             f = Poly(fld, coeffs)
+            packed = PackedPoly(f)
             for x in points:
-                assert f.evaluate(x) == horner(coeffs, x, p), (n, x)
+                want = horner(coeffs, x, p)
+                assert f.evaluate(x) == want, (n, x)
+                assert packed.evaluate(x) == want, (n, x)
+
+    @pytest.mark.parametrize("p", [2, 3, 61, 200003, 2**31 - 1])
+    def test_packed_slots_hold_the_largest_sums(self, p):
+        # all coefficients p - 1 and x = p - 1 (y = x^b = +-1) put the
+        # largest values the slot bound allows into every slot
+        fld = prime_field(p)
+        rng = random.Random(p)
+        points = [0, 1, p - 1] + [rng.randrange(p) for _ in range(3)]
+        for n in (1, 2, 3, 4, 15, 16, 17, 99, 100, 101, 2000):
+            coeffs = [p - 1] * n
+            packed = PackedPoly(Poly(fld, coeffs))
+            for x in points:
+                assert packed.evaluate(x) == horner(coeffs, x, p), (n, x)
+
+    def test_packed_rejects_extension_field(self):
+        ext = build_extension(7, 2)
+        with pytest.raises(TypeError):
+            PackedPoly(Poly(ext, [ext.one, ext.one]))
 
 
 class TestFactor:
