@@ -10,6 +10,7 @@ from .errors import (
     DegenerateSpecializationError,
     DegenerateValueError,
     DivisibilityError,
+    ExpansionTooLargeError,
     HeisSplitError,
     MalformedSpecError,
     MixedModulusError,

@@ -54,6 +54,11 @@ class PolynomialityViolationError(HeisSplitError):
     """Symbolic expansion produced exponents not divisible by ell (a bug)."""
 
 
+class ExpansionTooLargeError(HeisSplitError):
+    """The polynomial expansion of A_ell at this (p, ell) is longer than the
+    documented cap (``heis_arith.MAX_EXPANSION_COEFFS``)."""
+
+
 class NoRootOfUnityError(HeisSplitError):
     """The field contains no element of multiplicative order ell."""
 

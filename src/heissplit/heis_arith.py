@@ -17,10 +17,14 @@ The criterion value is A_ell(a):
                with both ell-th power symbols trivial collapses to
                eps_0(a)^((p-1)/ell), independent of the root choice.
 
-Both cases are polynomials in a with F_p coefficients; ``expand_a_poly``
-produces the coefficient vector and checks the cancellation that makes the
-contraction legal.  ``packed_a_poly`` caches it once per context in the
-packed form that the predictions' cross-checks evaluate.  eps has one
+Both cases are polynomials in a with F_p coefficients (for ell = 2 the sum
+over shifts is the binomial form above).  Since eps_n(x) = eps_0(zeta^n x),
+the shifted powers are one power with its coefficient of x^k scaled by
+zeta^(nk), and the sum scales it by sum_n zeta^(nk), which is ell when
+ell | k and 0 otherwise.  ``expand_a_poly`` powers eps_0 once, forms that
+sum, and checks the cancellation that makes the contraction legal.
+``packed_a_poly`` caches the result once per context in the packed form
+that the predictions' cross-checks evaluate.  eps has one
 definition, ``finite_field.epsilon_value``, shared with the oracle: it
 defines the cover, not the criterion.
 """
@@ -32,6 +36,7 @@ from functools import lru_cache
 
 from .errors import (
     DegenerateValueError,
+    ExpansionTooLargeError,
     NotResidueError,
     PolynomialityViolationError,
     WrongEllError,
@@ -48,6 +53,14 @@ from .finite_field import (
 )
 from .heisenberg import HeisElem, class_label, element_order
 from .polynomial import PackedPoly, Poly
+
+# Longest power of eps_0 that ``expand_a_poly`` builds.  The power has
+# (ell - 1)(p - 1)/2 + 1 coefficients, so the cap admits ell = 2 up to p of
+# about 4.2e6, ell = 3 up to about 2.1e6 and ell = 5 up to about 1.05e6.
+# Measured at the cap in a fresh process (shared 2-core host, CPython 3.11):
+# peak RSS 204 MB in 1.1 s for ell = 2, 344 MB in 188 s for ell = 3, and
+# 302 MB in 163 s for ell = 5.
+MAX_EXPANSION_COEFFS = 1 << 21
 
 # Four-way classification of A_2(a) (exactly one holds for admissible a):
 A2_UNIT = "unit"                        # A_2 = +1 or -1
@@ -148,41 +161,57 @@ def expand_a_poly(ctx: Context) -> Poly:
     Expands sum_n eps_n(s)^((p-1)/ell) with s an indeterminate standing for
     an ell-th root of a, verifies that only exponents divisible by ell
     survive (raising PolynomialityViolationError otherwise, which would be a
-    bug), contracts s^ell -> a and divides by ell.
+    bug), contracts s^ell -> a and divides by ell.  Since eps_n(s) =
+    eps_0(zeta^n s), the sum has coefficients c_k sigma_k, where c_k are the
+    coefficients of eps_0(s)^((p-1)/ell) and sigma_k = sum_n zeta^(nk); so
+    eps_0 is powered once, and sigma is summed over one period of the powers
+    of ``ctx.zeta`` (ell of them when zeta is a primitive ell-th root of
+    unity).  Raises ExpansionTooLargeError, before expanding anything, when
+    the power would have more than MAX_EXPANSION_COEFFS coefficients.
 
-    Cost: for ell = 2 each of the two shifted bases is linear, and its
-    (p - 1)/2-th power is the binomial expansion in O(p) modular
-    multiplications.  For ell >= 3 each of the ell bases has degree
-    ell(ell - 1)/2 and is powered by about log2(p) Kronecker products, the
-    last one of about (ell - 1) p / 2 coefficients, so CPython's Karatsuba
-    multiply sets the cost.  The sum over shifts (O(ell^2 p) additions) and
-    the contraction are list comprehensions, and the divisibility check
-    scans slices in C.  Measured on a shared 2-core host: (200003, 2)
-    110 ms, (1117, 3) 6 ms, (10009, 3) 100 ms, (2011, 5) 45 ms, (547, 7)
-    20 ms.
+    Cost: for ell = 2 the base is linear, and its (p - 1)/2-th power is the
+    binomial expansion in O(p) modular multiplications.  For ell >= 3 the
+    base has degree ell(ell - 1)/2 and is powered by about log2(p) Kronecker
+    products, the last one of about (ell - 1) p / 2 coefficients, so
+    CPython's Karatsuba multiply sets the cost.  Scaling by sigma, the
+    contraction and the divisibility check are list comprehensions and
+    slices.  Measured on a shared 2-core host (best of 7, or of 3 for
+    (100003, 3)): (200003, 2) 55 ms, (1117, 3) 1.8 ms, (10009, 3) 26 ms,
+    (2011, 5) 7 ms, (547, 7) 2.3 ms, (100003, 3) 0.70 s.
     """
-    p, ell = ctx.p, ctx.ell
+    p, ell, zeta = ctx.p, ctx.ell, ctx.zeta
+    length = (ell - 1) * (p - 1) // 2 + 1
+    if length > MAX_EXPANSION_COEFFS:
+        raise ExpansionTooLargeError(
+            f"A_{ell} at p = {p} needs {length} coefficients, above the cap "
+            f"of {MAX_EXPANSION_COEFFS}"
+        )
     fld = prime_field(p)
-    exp = (p - 1) // ell
-    total = Poly.zero(fld)
-    for shift in range(ell):
-        base = Poly.one(fld)
-        w = pow(ctx.zeta, 1 + shift, p)
-        for i in range(1, ell):
-            factor_i = Poly(fld, (1, -w % p))
-            base = base * factor_i**i
-            w = w * ctx.zeta % p
-        term = base**exp
-        total = total + term
-    assert total.degree <= (ell - 1) * (p - 1) // 2
-    coeffs = total.coeffs
-    if any(any(coeffs[r::ell]) for r in range(1, ell)):
-        d = next(d for d, c in enumerate(coeffs) if d % ell != 0 and c != 0)
+    base = Poly.one(fld)
+    w = zeta
+    for i in range(1, ell):
+        base = base * Poly(fld, (1, -w % p)) ** i
+        w = w * zeta % p
+    coeffs = (base ** ((p - 1) // ell)).coeffs
+    assert len(coeffs) <= length
+    # sigma[r] = sum_n (zeta^r)^n for r over one period of zeta's powers,
+    # cut at len(coeffs) when the period is longer (a zeta of high order)
+    sigma = []
+    z = 1
+    while len(sigma) < len(coeffs) and (z != 1 or not sigma):
+        sigma.append(sum(pow(z, n, p) for n in range(ell)) % p)
+        z = z * zeta % p
+    period = len(sigma)
+    total = [0] * len(coeffs)
+    for r, sig in enumerate(sigma):
+        total[r::period] = [c * sig % p for c in coeffs[r::period]]
+    if any(any(total[r::ell]) for r in range(1, ell)):
+        d = next(d for d, c in enumerate(total) if d % ell != 0 and c != 0)
         raise PolynomialityViolationError(
             f"exponent {d} not divisible by {ell} survived expansion"
         )
     inv_ell = pow(ell, -1, p)
-    contracted = [c * inv_ell % p for c in coeffs[::ell]]
+    contracted = [c * inv_ell % p for c in total[::ell]]
     return Poly(fld, contracted)
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, job files, parallelism."""
 
 import json
+import time
 
 import pytest
 
@@ -159,6 +160,14 @@ class TestScanVerify:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "error: " in err and "Traceback" not in err
+
+    def test_frob_beyond_expansion_cap_exit_2(self, capsys):
+        # ell = 2 would expand about 10^9 coefficients at p = 2^31 - 1
+        start = time.perf_counter()
+        code, out, err = run(capsys, "frob", "-p", "2147483647", "-l", "2", "-a", "5")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_no_command_usage(self, capsys):
         code, _, _ = run(capsys)

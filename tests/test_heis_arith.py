@@ -2,7 +2,11 @@
 classification, and the Frobenius-side prediction."""
 
 import dataclasses
+import inspect
+import os
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -10,6 +14,7 @@ from heissplit import heis_arith
 from heissplit import (
     DegenerateSpecializationError,
     DegenerateValueError,
+    ExpansionTooLargeError,
     NotResidueError,
     PolynomialityViolationError,
     WrongEllError,
@@ -22,9 +27,12 @@ from heissplit import (
     epsilon_value,
     expand_a_poly,
     frobenius_prediction,
+    is_prime,
     lth_root,
     make_context,
     power_residue_symbol,
+    prime_field,
+    primitive_root,
 )
 from heissplit.heis_arith import (
     A2_A_OVER_ONE_MINUS_A,
@@ -36,13 +44,39 @@ from heissplit.heis_arith import (
     a2_by_recurrence,
     packed_a_poly,
 )
-from heissplit.polynomial import PackedPoly
+from heissplit.polynomial import PackedPoly, Poly
 from heissplit.verification import admissible_values
 
 C5 = make_context(5, 2)
 C13 = make_context(13, 2)
 C7 = make_context(7, 3)
 C31 = make_context(31, 3)
+
+
+def reference_expand_a_poly(ctx):
+    """A_ell the long way: expand every shifted power eps_n(s)^((p-1)/ell),
+    sum them, check that only exponents divisible by ell survive, contract
+    s^ell -> a and divide by ell."""
+    p, ell = ctx.p, ctx.ell
+    fld = prime_field(p)
+    exp = (p - 1) // ell
+    total = Poly.zero(fld)
+    for shift in range(ell):
+        base = Poly.one(fld)
+        w = pow(ctx.zeta, 1 + shift, p)
+        for i in range(1, ell):
+            factor_i = Poly(fld, (1, -w % p))
+            base = base * factor_i**i
+            w = w * ctx.zeta % p
+        total = total + base**exp
+    coeffs = total.coeffs
+    if any(any(coeffs[r::ell]) for r in range(1, ell)):
+        d = next(d for d, c in enumerate(coeffs) if d % ell != 0 and c != 0)
+        raise PolynomialityViolationError(
+            f"exponent {d} not divisible by {ell} survived expansion"
+        )
+    inv_ell = pow(ell, -1, p)
+    return Poly(fld, [c * inv_ell % p for c in coeffs[::ell]])
 
 
 class TestEpsilonValue:
@@ -151,11 +185,108 @@ class TestExpandAPoly:
 
     def test_wrong_zeta_breaks_polynomiality(self):
         # zeta not an ell-th root of unity: the shifts no longer cancel the
-        # exponents prime to ell, and the check must say so
-        for p, ell, zeta in ((13, 2, 5), (13, 3, 2), (31, 5, 3)):
+        # exponents prime to ell, and the check must say so, naming the same
+        # exponent as the sum of shifted powers
+        cases = [(13, 2, 5), (13, 3, 2), (31, 5, 3)]
+        # zeta = 1, where every sigma_k is ell
+        cases += [(p, ell, 1) for p, ell in ((13, 2), (31, 3), (11, 5), (29, 7))]
+        # a zeta of order 2 ell
+        for p, ell in ((13, 2), (13, 3), (11, 5), (29, 7), (23, 11)):
+            cases.append((p, ell, pow(primitive_root(p), (p - 1) // (2 * ell), p)))
+        for p, ell, zeta in cases:
             ctx = dataclasses.replace(make_context(p, ell), zeta=zeta)
-            with pytest.raises(PolynomialityViolationError, match=f"not divisible by {ell}"):
+            with pytest.raises(PolynomialityViolationError, match=f"not divisible by {ell}") as got:
                 expand_a_poly(ctx)
+            with pytest.raises(PolynomialityViolationError) as expected:
+                reference_expand_a_poly(ctx)
+            assert str(got.value) == str(expected.value), (p, ell, zeta)
+
+    def test_matches_sum_of_shifted_powers(self):
+        # every admissible (p, ell) of a grid, plus one large pair each for
+        # the binomial (ell = 2) and Kronecker (ell = 3) powers
+        bounds = {2: 600, 3: 800, 5: 500, 7: 400, 11: 300}
+        pairs = [
+            (p, ell)
+            for ell, bound in bounds.items()
+            for p in range(3, bound)
+            if (p - 1) % ell == 0 and is_prime(p)
+        ]
+        assert len(pairs) == 212
+        for p, ell in pairs + [(200003, 2), (10009, 3)]:
+            ctx = make_context(p, ell)
+            assert expand_a_poly(ctx) == reference_expand_a_poly(ctx), (p, ell)
+
+    def test_one_expansion_per_call(self, monkeypatch):
+        # eps_0 is powered to (p - 1)/ell once, not once per shift; each p
+        # has (p - 1)/ell > ell - 1, so building the base is not counted
+        calls = []
+        power = Poly.__pow__
+
+        def counting_pow(poly, e):
+            calls.append(e)
+            return power(poly, e)
+
+        monkeypatch.setattr(Poly, "__pow__", counting_pow)
+        for p, ell in ((13, 2), (31, 3), (31, 5), (71, 7)):
+            calls.clear()
+            expand_a_poly(make_context(p, ell))
+            assert calls.count((p - 1) // ell) == 1, (p, ell, calls)
+
+    def test_too_large_raises_before_expanding(self, monkeypatch):
+        # the cap admits (1000003, 2); past it nothing is expanded
+        assert (1000003 - 1) // 2 + 1 <= heis_arith.MAX_EXPANSION_COEFFS
+        for ell in (2, 3, 7):
+            with pytest.raises(ExpansionTooLargeError):
+                expand_a_poly(make_context(2147483647, ell))
+        # (13, 2) needs 7 coefficients: a cap of 7 admits it, 6 does not
+        monkeypatch.setattr(heis_arith, "MAX_EXPANSION_COEFFS", 7)
+        assert expand_a_poly(C13).coeffs == (1, 2, 2, 1)
+        monkeypatch.setattr(heis_arith, "MAX_EXPANSION_COEFFS", 6)
+        monkeypatch.setattr(Poly, "__pow__", None)  # any power would fail first
+        with pytest.raises(ExpansionTooLargeError, match="needs 7 coefficients"):
+            expand_a_poly(C13)
+
+    def test_checks_hold_under_dash_O(self):
+        # the polynomiality check and the size cap are explicit raises, so
+        # they hold with asserts stripped
+        script = "\n".join([
+            "import dataclasses, sys",
+            "from heissplit import ExpansionTooLargeError, PolynomialityViolationError",
+            "from heissplit import expand_a_poly, make_context",
+            "from heissplit.finite_field import prime_field",
+            "from heissplit.polynomial import Poly",
+            inspect.getsource(reference_expand_a_poly),
+            textwrap.dedent("""
+                if __debug__:
+                    sys.exit(1)
+                for p, ell in ((13, 2), (31, 3), (11, 5)):
+                    ctx = make_context(p, ell)
+                    if expand_a_poly(ctx) != reference_expand_a_poly(ctx):
+                        sys.exit(1)
+                try:
+                    expand_a_poly(dataclasses.replace(make_context(13, 3), zeta=2))
+                except PolynomialityViolationError:
+                    pass
+                else:
+                    sys.exit(1)
+                try:
+                    expand_a_poly(make_context(2147483647, 2))
+                except ExpansionTooLargeError:
+                    pass
+                else:
+                    sys.exit(1)
+            """),
+        ])
+        src = os.path.dirname(os.path.dirname(heis_arith.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_memoized_per_context(self):
         # the packed form is the one per-context cache of A_ell
