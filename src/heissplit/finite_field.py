@@ -20,11 +20,17 @@ Complexity 1992): a conjugate is one mat-vec, and the norm to F_p,
 N(a) = a^((q-1)/(p-1)), is the product of the m conjugates
 (Lidl-Niederreiter, *Finite Fields*, Thm 2.28), certified to lie in F_p.
 For ell | p - 1 the ell-th-power test c^((q-1)/ell) = N(c)^((p-1)/ell) is
-then one norm and one power in F_p.  ``epsilon_value`` is the one
-definition of the unit product eps that defines the cover, shared by the
-criterion and the oracle.  ell-th roots, ``lth_root`` included, come from
-one certified algorithm: ``binomial_roots`` (Adleman-Manders-Miller,
-FOCS 1977), checked by r^ell = c.
+then one norm and one power in F_p.  ``ExtField.mul`` is one big-int
+product of the packed operands (Kronecker substitution; Harvey, J. Symb.
+Comp. 2009), reduced by folding the high slots back through precomputed
+packed rows x^k mod modulus.  Slots of w = 2*bitlen(p-1) + bitlen(2m) bits
+hold every sum, which stays below (2m-1)(p-1)^2, so none carries, provided
+the operands are canonical (m entries in [0, p)); every operation here
+returns canonical elements.  ``epsilon_value`` is the one definition of the
+unit product eps that defines the cover, shared by the criterion and the
+oracle.  ell-th roots, ``lth_root`` included, come from one certified
+algorithm: ``binomial_roots`` (Adleman-Manders-Miller, FOCS 1977), checked
+by r^ell = c.
 """
 
 from __future__ import annotations
@@ -176,9 +182,20 @@ class ExtField:
     x -> x^p is the Frobenius automorphism, of order exactly m; it is
     F_p-linear, and ``frobenius`` applies it as the matrix whose column j is
     (x^p)^j.
+
+    ``mul`` packs each operand into one int, coefficient i in bits
+    [i*w, (i+1)*w) with w = 2*bitlen(p-1) + bitlen(2m), multiplies once,
+    and adds (slot_k mod p) * (x^k mod modulus, packed) into the low m slots
+    for k = m..2m-2.  A product slot is below m(p-1)^2 and the folds add
+    below (m-1)(p-1)^2, so no slot carries.  The bound needs canonical
+    operands: m-tuples with every entry in [0, p).  Every operation here
+    returns such tuples, and ``mul`` does not check its inputs.
     """
 
-    __slots__ = ("p", "degree", "modulus", "order", "zero", "one", "_tail", "_frob")
+    __slots__ = (
+        "p", "degree", "modulus", "order", "zero", "one",
+        "_shifts", "_mask", "_low_mask", "_fold", "_frob",
+    )
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         if not is_prime(p):
@@ -192,8 +209,20 @@ class ExtField:
         self.order = p**m
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
-        # x^m = sum(tail[i] * x^i): negated lower part of the modulus
-        self._tail = tuple(-modulus[i] % p for i in range(m))
+        # the packing constants of ``mul`` (slot width w: class docstring)
+        w = 2 * (p - 1).bit_length() + (2 * m).bit_length()
+        self._shifts = tuple(range(0, m * w, w))
+        self._mask = (1 << w) - 1
+        self._low_mask = (1 << m * w) - 1
+        # fold rows: (shift of slot k, packed x^k mod modulus), k = m..2m-2,
+        # from x^m = sum(tail[i] * x^i) by shift-and-fold
+        tail = [-c % p for c in modulus[:m]]
+        row, fold = tail, []
+        for k in range(m, 2 * m - 1):
+            fold.append((k * w, sum(map(operator.lshift, row, self._shifts))))
+            top = row[-1]
+            row = [(c + top * t) % p for c, t in zip([0] + row[:-1], tail)]
+        self._fold = tuple(fold)
         # Ben-Or's test in this ring: the modulus is irreducible iff it has
         # no irreducible factor of degree d <= m/2, i.e. iff x^(p^d) - x is a
         # unit (coprime to the modulus) for every d <= m/2.  Frobenius is
@@ -224,32 +253,25 @@ class ExtField:
 
     def add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a, b):
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def neg(self, a):
         p = self.p
-        return tuple(-x % p for x in a)
+        return tuple([-x % p for x in a])
 
     def mul(self, a, b):
-        p = self.p
-        m = self.degree
-        acc = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    acc[i + j] += ai * bj
-        tail = self._tail
-        for k in range(2 * m - 2, m - 1, -1):
-            c = acc[k] % p
-            if c:
-                base = k - m
-                for i, ti in enumerate(tail):
-                    acc[base + i] += c * ti
-        return tuple(v % p for v in acc[:m])
+        """a * b: one big-int product of the packed operands, then a packed
+        reduction.  a and b must be canonical (m entries, each in [0, p))."""
+        shifts, mask, p = self._shifts, self._mask, self.p
+        prod = sum(map(operator.lshift, a, shifts)) * sum(map(operator.lshift, b, shifts))
+        low = prod & self._low_mask
+        for s, row in self._fold:
+            low += (prod >> s & mask) % p * row
+        return tuple([(low >> s & mask) % p for s in shifts])
 
     def inv(self, a):
         p = self.p
@@ -461,8 +483,9 @@ def _element_with_key(fld, key: int):
 
 @lru_cache(maxsize=64)
 def _ell_sylow(fld, ell: int) -> tuple:
-    """(s, t, g) with q - 1 = ell^s * t, ell not dividing t, and g = z^t a
-    generator of the ell-Sylow subgroup of F_q^*.
+    """(s, t, g, zeta) with q - 1 = ell^s * t, ell not dividing t, g = z^t a
+    generator of the ell-Sylow subgroup of F_q^*, and zeta = g^(ell^(s-1))
+    of order exactly ell.
 
     z is the first element, in key order, that is not an ell-th power, tested
     through its norm as in ``binomial_roots``.  Over an extension the search
@@ -478,7 +501,8 @@ def _ell_sylow(fld, ell: int) -> tuple:
     while True:
         z = _element_with_key(fld, key)
         if pow(fld.norm(z), (p - 1) // ell, p) != 1:
-            return s, t, fld.pow(z, t)
+            g = fld.pow(z, t)
+            return s, t, g, fld.pow(g, ell ** (s - 1))
         key += 1
 
 
@@ -503,9 +527,8 @@ def binomial_roots(fld, ell: int, c) -> tuple:
         raise ZeroArgumentError("x^ell - 0 is not squarefree")
     if pow(fld.norm(c), (p - 1) // ell, p) != 1:
         return ()
-    s, t, g = _ell_sylow(fld, ell)
+    s, t, g, zeta = _ell_sylow(fld, ell)
     sylow = ell**s
-    zeta = fld.pow(g, sylow // ell)
     r = fld.pow(c, pow(ell, -1, t))
     e = fld.mul(fld.pow(r, ell), fld.inv(c))
     if e != fld.one:

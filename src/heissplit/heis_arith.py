@@ -59,7 +59,8 @@ from .polynomial import PackedPoly, Poly
 # about 4.2e6, ell = 3 up to about 2.1e6 and ell = 5 up to about 1.05e6.
 # Measured at the cap in a fresh process (shared 2-core host, CPython 3.11):
 # peak RSS 204 MB in 1.1 s for ell = 2, 344 MB in 188 s for ell = 3, and
-# 302 MB in 163 s for ell = 5.
+# 302 MB in 163 s for ell = 5.  So the cap bounds memory but not time: for
+# ell >= 3 a cold expansion near the cap takes minutes.
 MAX_EXPANSION_COEFFS = 1 << 21
 
 # Four-way classification of A_2(a) (exactly one holds for admissible a):

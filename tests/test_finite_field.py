@@ -4,6 +4,8 @@ Expected values marked by brute-force helpers below were computed by
 exhaustive enumeration, independent of the implementation under test.
 """
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from heissplit import (
     prime_field,
     primitive_root,
 )
+from heissplit.finite_field import _ell_sylow
 from heissplit.polynomial import Poly, is_irreducible
 
 SMALL_CONTEXTS = [(13, 2), (5, 2), (7, 3), (31, 3), (11, 5), (199, 2), (43, 7)]
@@ -50,6 +53,45 @@ def reference_pow(fld, a, e: int):
         base = fld.mul(base, base)
         e >>= 1
     return acc
+
+
+def reference_mul(fld, a, b):
+    """Schoolbook product, then x^k -> x^(k-m) * tail from the top slot
+    down: the old ``ExtField.mul``."""
+    p, m = fld.p, fld.degree
+    tail = [-c % p for c in fld.modulus[:m]]
+    acc = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                acc[i + j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):
+        c = acc[k] % p
+        if c:
+            base = k - m
+            for i, ti in enumerate(tail):
+                acc[base + i] += c * ti
+    return tuple(v % p for v in acc[:m])
+
+
+def random_field(p: int, m: int) -> ExtField:
+    """F_{p^m} modulo a seeded random irreducible: dense reduction rows at
+    any p.  ``build_extension`` picks sparse moduli, and at some (p, m),
+    such as (2^31 - 1, 5), its key-order search runs through ~p candidates."""
+    rng = random.Random(p * 100 + m)
+    while True:
+        try:
+            return ExtField(p, tuple(rng.randrange(p) for _ in range(m)) + (1,))
+        except ValueError:  # reducible candidate
+            pass
+
+
+def near_top(fld, rng):
+    """Coefficients p - 1 - r with r <= 2 sqrt(p): each product is near
+    (p - 1)^2, yet sums of the r_i r_j still reduce to any residue mod p, so
+    the folded high slots are large too."""
+    p = fld.p
+    return tuple((p - 1 - rng.randrange(2 * math.isqrt(p) + 1)) % p for _ in range(fld.degree))
 
 
 def reference_epsilon(ctx: Context, root_x, shift: int, fld):
@@ -242,6 +284,36 @@ class TestBuildExtension:
         assert build_extension(7, 3).modulus == (2, 0, 0, 1)
         assert build_extension(7, 3) is build_extension(7, 3)
 
+    def test_pinned_moduli(self):
+        # c_0..c_{m-1} of the monic modulus, for m = 2..7
+        pinned = {
+            2: [(1, 1), (1, 1, 0), (1, 1, 0, 0), (1, 0, 1, 0, 0), (1, 1, 0, 0, 0, 0),
+                (1, 1, 0, 0, 0, 0, 0)],
+            3: [(1, 0), (1, 2, 0), (2, 1, 0, 0), (1, 2, 0, 0, 0), (2, 1, 0, 0, 0, 0),
+                (2, 0, 1, 0, 0, 0, 0)],
+            5: [(2, 0), (1, 1, 0), (2, 0, 0, 0), (1, 4, 0, 0, 0), (2, 1, 0, 0, 0, 0),
+                (1, 1, 0, 0, 0, 0, 0)],
+            7: [(1, 0), (2, 0, 0), (1, 1, 0, 0), (3, 1, 0, 0, 0), (2, 0, 0, 0, 0, 0),
+                (1, 6, 0, 0, 0, 0, 0)],
+            11: [(1, 0), (4, 1, 0), (2, 1, 0, 0), (2, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0),
+                 (4, 1, 0, 0, 0, 0, 0)],
+            13: [(2, 0), (2, 0, 0), (2, 0, 0, 0), (2, 4, 0, 0, 0), (2, 0, 0, 0, 0, 0),
+                 (2, 3, 0, 0, 0, 0, 0)],
+        }
+        for p, moduli in pinned.items():
+            assert [build_extension(p, m).modulus for m in range(2, 8)] == [
+                c + (1,) for c in moduli
+            ]
+        # every prime p < 102 and m = 2..7, as sha256 of the list's repr
+        grid = [
+            (p, m, build_extension(p, m).modulus)
+            for p in range(2, 102) if is_prime(p) for m in range(2, 8)
+        ]
+        assert len(grid) == 156
+        assert hashlib.sha256(repr(grid).encode()).hexdigest() == (
+            "e99c5d53fb83d06a47329386eebcd9be6a6d2e5cd8b2f0b999e11a7c219eef9c"
+        )
+
     @pytest.mark.parametrize("p,m", [(7, 2), (7, 3), (5, 4), (13, 2), (3, 5)])
     def test_power_map_fixes_field(self, p, m):
         ext = build_extension(p, m)
@@ -293,6 +365,79 @@ class TestBuildExtension:
                 continue
             assert ext.mul(x, ext.inv(x)) == ext.one
             assert ext.pow(x, ext.order - 1) == ext.one
+
+
+class TestPackedMul:
+    """``ExtField.mul`` (one packed big-int product) against the schoolbook
+    loop it replaced."""
+
+    @pytest.mark.parametrize("p", [2, 3, 61, 200003, 2**31 - 1])
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 11])
+    def test_matches_schoolbook(self, p, m):
+        fields = [random_field(p, m)]
+        if p < 100:
+            fields.append(build_extension(p, m))
+        for fld in fields:
+            rng = random.Random(p + m)
+            top = (p - 1,) * m
+            ops = [fld.sample(rng) for _ in range(30)]
+            ops += [near_top(fld, rng) for _ in range(30)]
+            ops += [top, fld.one, fld.zero, top]
+            for a, b in zip(ops, ops[1:]):
+                assert fld.mul(a, b) == reference_mul(fld, a, b), (fld.modulus, a, b)
+            for a in ops:
+                assert fld.mul(top, a) == reference_mul(fld, top, a), (fld.modulus, a)
+
+    def test_slot_width_is_tight(self):
+        # near-top operands at (2^31 - 1, 7) fill a slot past 2^(w-1), so a
+        # slot one bit narrower would carry; the folded sums stay below 2^w
+        p, m = 2**31 - 1, 7
+        fld = random_field(p, m)
+        w = 2 * (p - 1).bit_length() + (2 * m).bit_length()
+        x = (0, 1) + (0,) * (m - 2)
+        rows = {k: fld.pow(x, k) for k in range(m, 2 * m - 1)}
+        rng = random.Random(7)
+        peak = 0
+        for _ in range(40):
+            a, b = near_top(fld, rng), near_top(fld, rng)
+            acc = [0] * (2 * m - 1)
+            for i in range(m):
+                for j in range(m):
+                    acc[i + j] += a[i] * b[j]
+            for i in range(m):
+                peak = max(peak, acc[i] + sum(acc[k] % p * r[i] for k, r in rows.items()))
+            assert fld.mul(a, b) == reference_mul(fld, a, b)
+        assert 1 << (w - 1) <= peak < 1 << w
+
+    @given(
+        st.sampled_from([(2, 3), (3, 5), (61, 5), (71, 5), (2**31 - 1, 2)]),
+        st.integers(0, 2**160),
+        st.integers(0, 2**160),
+        st.integers(-40, 10**9),
+        st.integers(-(2**40), 2**40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_operations_return_canonical_elements(self, spec, ka, kb, e, c):
+        # ``mul`` assumes canonical operands; every producer must return them
+        p, m = spec
+        fld = build_extension(p, m)
+
+        def canonical(v):
+            return type(v) is tuple and len(v) == m and all(
+                type(x) is int and 0 <= x < p for x in v
+            )
+
+        a, b = (tuple(k // p**i % p for i in range(m)) for k in (ka, kb))
+        outs = [
+            fld.add(a, b), fld.sub(a, b), fld.neg(a), fld.mul(a, b),
+            fld.frobenius(a), fld.embed(c), fld.sample(random.Random(c)),
+        ]
+        if a != fld.zero:
+            outs += [fld.inv(a), fld.pow(a, e)]
+        elif e >= 0:
+            outs.append(fld.pow(a, e))
+        for out in outs:
+            assert canonical(out), out
 
 
 class TestFrobeniusNormPow:
@@ -358,6 +503,19 @@ class TestFrobeniusNormPow:
                     ctx, x, shift, fld
                 )
             checked += 1
+
+    @pytest.mark.parametrize(
+        "p,m,ell", [(13, 1, 3), (31, 1, 5), (13, 2, 2), (7, 3, 3), (11, 5, 5), (61, 5, 5),
+                    (29, 7, 7)]
+    )
+    def test_sylow_zeta_has_order_exactly_ell(self, p, m, ell):
+        fld = build_extension(p, m)
+        s, t, g, zeta = _ell_sylow(fld, ell)
+        assert fld.order - 1 == ell**s * t and t % ell
+        assert zeta == reference_pow(fld, g, ell ** (s - 1))
+        assert zeta != fld.one and reference_pow(fld, zeta, ell) == fld.one
+        # g generates the ell-Sylow subgroup: its order is exactly ell^s
+        assert reference_pow(fld, g, ell ** s) == fld.one
 
     @pytest.mark.parametrize("p,m", [(5, 2), (2, 2)])
     def test_binomials_need_ell_dividing_p_minus_1(self, p, m):
