@@ -17,7 +17,6 @@ from .errors import (
     NoRootOfUnityError,
     NotPrimeError,
     NotResidueError,
-    NotSquarefreeError,
     PolynomialityViolationError,
     SymbolNotTrivialError,
     UnsupportedEllError,
@@ -60,12 +59,8 @@ from .polynomial import (
     PackedPoly,
     Poly,
     binomial,
-    count_irreducible_factors,
-    factor,
     factor_binomial,
     is_irreducible,
-    roots_in_field,
-    squarefree_decomposition,
 )
 from .seeds import DEFAULT_SEED, derive_seed
 from .splitting_oracle import (

@@ -7,8 +7,9 @@ or JSON; exit code 0 means success/agreement, 1 means a verification failure
 was found, 2 a usage error.
 
 Batch output with --jobs k is byte-identical to the serial output for the
-same seed: per-point seeds are derived from (seed, p, ell, a) and rows are
-emitted in -p order, then by a, regardless of scheduling.
+same seed: no row depends on scheduling (the master seed is only recorded,
+in the seed column and in the oracle's reports), and rows are emitted in -p
+order, then by a.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .heis_arith import (
     expand_a_poly,
     frobenius_prediction,
 )
-from .seeds import DEFAULT_SEED, derive_seed
+from .seeds import DEFAULT_SEED
 from .splitting_oracle import split_K, split_R
 from .verification import (
     SCAN_COLUMNS,
@@ -204,7 +205,6 @@ def _cmd_frob(args) -> int:
 def _cmd_split(args) -> int:
     ctx = make_context(args.p, args.ell)
     a = args.a % ctx.p
-    point_seed = derive_seed(args.seed, ctx.p, ctx.ell, a)
     row: dict = {
         "p": ctx.p,
         "ell": ctx.ell,
@@ -228,8 +228,8 @@ def _cmd_split(args) -> int:
             predicted=pred.predicted_count,
         )
     if args.mode in ("oracle", "both"):
-        row["oracle_K"] = split_K(ctx, a, point_seed).prime_count
-        row["oracle_R"] = split_R(ctx, a, point_seed).prime_count
+        row["oracle_K"] = split_K(ctx, a, args.seed).prime_count
+        row["oracle_R"] = split_R(ctx, a, args.seed).prime_count
     if args.mode == "both":
         row["agree"] = row["predicted"] == row["oracle_R"]
         if not row["agree"]:
@@ -268,12 +268,12 @@ def _cmd_verify(args) -> int:
             values = admissible_values(ctx)[:2]
             if len(values) >= 2:
                 disc = discriminant_ratio_check(
-                    ctx, values[0], values[1], args.seed, check_choice_invariance=False
+                    ctx, values[0], values[1], check_choice_invariance=False
                 )
                 if not disc.passed:
                     failed = True
                     print(f"  FAIL discriminant ratio at {disc}", file=sys.stderr)
-        hist = chebotarev_stats(ctx, args.seed)
+        hist = chebotarev_stats(ctx)
         for b in hist.bins:
             print(
                 f"  class {b.label}: observed {b.observed}, expected {b.expected:.2f}",
@@ -287,7 +287,7 @@ def _cmd_stats(args) -> int:
     contexts = _contexts(args.p, args.ell)
     rows: list[dict] = []
     for ctx in contexts:
-        rows.extend(histogram_rows(chebotarev_stats(ctx, args.seed)))
+        rows.extend(histogram_rows(chebotarev_stats(ctx)))
     _emit(rows, HISTOGRAM_COLUMNS, args.format, args.output)
     return EXIT_OK
 
@@ -311,9 +311,7 @@ def _cmd_detlemma(args) -> int:
 
 def _cmd_disc(args) -> int:
     ctx = make_context(args.p, args.ell)
-    report = discriminant_ratio_check(
-        ctx, args.a, args.a2, args.seed, allow_large=args.allow_large_ell
-    )
+    report = discriminant_ratio_check(ctx, args.a, args.a2, allow_large=args.allow_large_ell)
     rows = [
         {
             "p": ctx.p,

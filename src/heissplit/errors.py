@@ -26,10 +26,6 @@ class ZeroPolynomialError(HeisSplitError):
     """The zero polynomial passed where a nonzero one is required."""
 
 
-class NotSquarefreeError(HeisSplitError):
-    """Polynomial has a repeated factor where a squarefree one is required."""
-
-
 class MixedModulusError(HeisSplitError):
     """Operands belong to different groups or fields."""
 

@@ -366,7 +366,11 @@ def build_extension(p: int, m: int) -> PrimeField | ExtField:
     """Deterministic field of size p^m; for m = 1 this is F_p itself.
 
     The modulus is the irreducible monic polynomial whose coefficient vector
-    (c_0, ..., c_{m-1}) encodes the smallest integer sum(c_i * p^i).
+    (c_0, ..., c_{m-1}) encodes the smallest integer sum(c_i * p^i).  The
+    keys below p are the binomials x^m + c.  Some x^m + c is irreducible
+    iff every prime factor of m divides p - 1 and p = 1 mod 4 when 4 | m
+    (Lidl-Niederreiter, *Finite Fields*, Thm 3.75; c = -g for a primitive
+    root g qualifies); otherwise the search starts at key p.
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
@@ -374,7 +378,10 @@ def build_extension(p: int, m: int) -> PrimeField | ExtField:
         raise ValueError("extension degree must be >= 1")
     if m == 1:
         return prime_field(p)
-    n = 0
+    binomial_ok = all((p - 1) % r == 0 for r in _prime_factors(m)) and (
+        m % 4 != 0 or p % 4 == 1
+    )
+    n = 0 if binomial_ok else p
     while True:
         digits = []
         k = n
@@ -509,7 +516,8 @@ def _ell_sylow(fld, ell: int) -> tuple:
 def binomial_roots(fld, ell: int, c) -> tuple:
     """All roots of x^ell - c in ``fld``, sorted by ``elem_key``; () if none.
 
-    Equal to ``roots_in_field(binomial(fld, ell, c))``.  Requires ell prime,
+    The tests hold it to the root finder of the generic reference engine
+    (gcd with x^q - x, then equal-degree splitting).  Requires ell prime,
     ell | p - 1 (not merely ell | q - 1; every caller has ell | p - 1) and
     c != 0.  Then c^((q-1)/ell) = N(c)^((p-1)/ell) with N the norm to F_p,
     so whether c is an ell-th power is decided in F_p.  With

@@ -1,26 +1,19 @@
 """Dense univariate polynomials over any constructed finite field.
 
-Two factorization engines live here.  ``factor`` is the generic one:
-complete factorization into monic irreducibles via squarefree
-decomposition, distinct-degree splitting, and seeded Cantor-Zassenhaus
-equal-degree splitting.  For a fixed seed the output is identical across
-runs; across seeds the factor multiset is identical (only internal random
-choices vary).  No production path calls it or ``roots_in_field``: they
-are the reference the tests compare against.
-
-``factor_binomial`` is the engine of the splitting oracle, whose every
-polynomial is a binomial x^ell - c over F_q = F_{p^m} with ell a prime
-dividing p - 1.  Such a binomial splits into ell linear factors when c is
-an ell-th power and is irreducible otherwise (Lidl-Niederreiter, *Finite
-Fields*, Thm 3.75), so the power c^((q-1)/ell) = N(c)^((p-1)/ell) of the
-norm N(c) in F_p decides it and the certified ell-th roots of
-``finite_field.binomial_roots`` give every factor.  It uses no
-randomness, returns exactly what ``factor`` returns, and certifies each
-answer: the root satisfies r^ell = c, the factors re-multiply to the
-binomial, and an irreducible binomial passes Ben-Or's test, which
-``is_irreducible`` runs through the distinct-degree loop ``_ddf`` of the
-generic engine.  There are no field embeddings: the oracle embeds only
-F_p images.
+One factorization engine lives here: ``factor_binomial``, the engine of
+the splitting oracle, whose every polynomial is a binomial x^ell - c over
+F_q = F_{p^m} with ell a prime dividing p - 1.  Such a binomial splits into
+ell linear factors when c is an ell-th power and is irreducible otherwise
+(Lidl-Niederreiter, *Finite Fields*, Thm 3.75), so the power
+c^((q-1)/ell) = N(c)^((p-1)/ell) of the norm N(c) in F_p decides it and
+the certified ell-th roots of ``finite_field.binomial_roots`` give every
+factor.  It uses no randomness and certifies each answer: the root
+satisfies r^ell = c, the factors re-multiply to the binomial, and an
+irreducible binomial passes Ben-Or's test, which ``is_irreducible`` runs
+through the distinct-degree loop ``_ddf``.  There are no field
+embeddings: the oracle embeds only F_p images.  The tests hold it to a
+generic seeded Cantor-Zassenhaus engine that lives with them
+(``tests/reference_factor.py``).
 
 Coefficients are stored lowest degree first and live in the coefficient
 field's element representation (ints for F_p, tuples for F_{p^m}).
@@ -42,18 +35,12 @@ hold the packed form to.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
-from .errors import (
-    MixedModulusError,
-    NotSquarefreeError,
-    ZeroPolynomialError,
-)
+from .errors import MixedModulusError, ZeroPolynomialError
 from .finite_field import PrimeField, binomial_roots
-from .seeds import derive_seed
 
 
 class Poly:
@@ -214,20 +201,6 @@ class Poly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic()
-
-    def derivative(self) -> "Poly":
-        f = self.field
-        p = f.char
-        out = []
-        for i in range(1, len(self.coeffs)):
-            k = i % p
-            if k == 0:
-                out.append(f.zero)
-            elif isinstance(f, PrimeField):
-                out.append(k * self.coeffs[i] % p)
-            else:
-                out.append(f.mul(f.embed(k), self.coeffs[i]))
-        return Poly(f, out)
 
     def __pow__(self, e: int) -> "Poly":
         """self^e.  Over F_p, a linear base with e < p is expanded by the
@@ -432,50 +405,8 @@ class Factorization:
 
 
 # ---------------------------------------------------------------------------
-# Factorization machinery
+# Ben-Or's irreducibility test
 # ---------------------------------------------------------------------------
-
-
-def _pth_root_poly(f: Poly) -> Poly:
-    """For f = g(x^p), recover g (taking p-th roots of coefficients)."""
-    fld = f.field
-    p = fld.char
-    # p-th root of c in F_{p^m} is c^(p^(m-1)); in F_p it is c itself.
-    root_exp = fld.order // p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        c = f.coeffs[i]
-        out.append(c if root_exp == 1 else fld.pow(c, root_exp))
-    return Poly(fld, out)
-
-
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic squarefree parts with multiplicities (characteristic-p aware)."""
-    fld = f.field
-    p = fld.char
-    out: list[tuple[Poly, int]] = []
-    e = 1
-    f = f.monic()
-    while f.degree > 0:
-        df = f.derivative()
-        if df.is_zero:
-            f = _pth_root_poly(f)
-            e *= p
-            continue
-        g = f.gcd(df)
-        w = f // g
-        i = 1
-        while w.degree > 0:
-            y = w.gcd(g)
-            z = w // y
-            if z.degree > 0:
-                out.append((z, i * e))
-            w = y
-            g = g // y
-            i += 1
-        f = g
-    out.sort(key=lambda pair: (pair[1], pair[0].sort_key()))
-    return out
 
 
 def _ddf(f: Poly) -> list[tuple[Poly, int]]:
@@ -504,64 +435,6 @@ def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _random_poly(fld, max_degree: int, rng: random.Random) -> Poly:
-    while True:
-        cand = Poly(fld, [fld.sample(rng) for _ in range(max_degree + 1)])
-        if cand.degree >= 1:
-            return cand
-
-
-def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Equal-degree split: f is monic, all irreducible factors have degree d."""
-    fld = f.field
-    if f.degree == d:
-        return [f]
-    q = fld.order
-    one = Poly.one(fld)
-    while True:
-        h = _random_poly(fld, f.degree - 1, rng)
-        g = f.gcd(h)
-        if 0 < g.degree < f.degree:
-            break
-        if fld.char == 2:
-            # additive trace map splits in characteristic 2
-            k = d * (q.bit_length() - 1)  # q = 2^k exactly
-            t = h % f
-            acc = t
-            for _ in range(k - 1):
-                t = t.pow_mod(2, f)
-                acc = acc + t
-            g = f.gcd(acc)
-        else:
-            w = h.pow_mod((q**d - 1) // 2, f)
-            g = f.gcd(w - one)
-        if 0 < g.degree < f.degree:
-            break
-    return _edf(g, d, rng) + _edf(f // g, d, rng)
-
-
-def factor(f: Poly, seed: int) -> Factorization:
-    """Complete factorization into monic irreducibles, canonically sorted.
-
-    Deterministic for a fixed seed; the factor multiset does not depend on
-    the seed at all.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("cannot factor the zero polynomial")
-    unit = f.leading
-    f = f.monic()
-    if f.degree == 0:
-        return Factorization(field=f.field, unit=unit, factors=())
-    factors: list[tuple[Poly, int]] = []
-    for part, mult in squarefree_decomposition(f):
-        for prod, d in _ddf(part):
-            rng = random.Random(derive_seed(seed, "edf", d, prod.sort_key()))
-            for irred in _edf(prod, d, rng):
-                factors.append((irred, mult))
-    factors.sort(key=lambda pair: pair[0].sort_key())
-    return Factorization(field=f.field, unit=unit, factors=tuple(factors))
-
-
 def is_irreducible(f: Poly) -> bool:
     """Ben-Or's test: f of degree m is irreducible iff it has no irreducible
     factor of degree <= m/2, i.e. iff gcd(f, x^(q^d) - x) = 1 for every
@@ -574,52 +447,15 @@ def is_irreducible(f: Poly) -> bool:
     return len(parts) == 1 and parts[0][1] == f.degree
 
 
-def count_irreducible_factors(f: Poly, seed: int) -> tuple[int, tuple[int, ...]]:
-    """(number of irreducible factors, sorted degree multiset) of squarefree f."""
-    if f.is_zero:
-        raise ZeroPolynomialError("cannot factor the zero polynomial")
-    df = f.derivative()
-    if df.is_zero or f.gcd(df).degree > 0:
-        raise NotSquarefreeError("polynomial has repeated factors")
-    fac = factor(f, seed)
-    degrees = tuple(sorted(p.degree for p, _ in fac.factors))
-    return len(fac.factors), degrees
-
-
-def roots_in_field(f: Poly) -> tuple:
-    """All roots of f in its coefficient field, sorted canonically.
-
-    Found via gcd(f, x^q - x) followed by equal-degree splitting; the root
-    set is choice-free, so a fixed internal seed keeps this deterministic.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("cannot take roots of the zero polynomial")
-    fld = f.field
-    if f.degree == 0:
-        return ()
-    x = Poly.x(fld)
-    h = x.pow_mod(fld.order, f)
-    g = f.gcd(h - x)
-    if g.degree == 0:
-        return ()
-    rng = random.Random(derive_seed(0, "roots", g.sort_key()))
-    roots = []
-    for lin in _edf(g, 1, rng):
-        c0, c1 = lin.coeffs
-        root = fld.neg(fld.mul(c0, fld.inv(c1)))
-        roots.append(root)
-    roots.sort(key=fld.elem_key)
-    return tuple(roots)
-
-
 # ---------------------------------------------------------------------------
 # Binomials x^ell - c with ell prime and ell | p - 1
 # ---------------------------------------------------------------------------
 
 
 def factor_binomial(fld, ell: int, c) -> Factorization:
-    """``factor(binomial(fld, ell, c), seed)`` for every seed, with no
-    randomness: the same monic factors in the same canonical order, unit 1.
+    """Complete factorization of x^ell - c over ``fld``, with no
+    randomness: its monic irreducible factors, each of multiplicity 1,
+    sorted by ``Poly.sort_key``, and unit 1.
 
     Requires ell prime (else NotPrimeError), ell | p - 1 (else
     DivisibilityError) and c != 0 (else ZeroArgumentError).

@@ -1,8 +1,10 @@
 """Deterministic seeding.
 
-All randomized routines (equal-degree splitting, trial generation) take an
-explicit integer seed.  Sub-seeds are derived with SHA-256 so that parallel
-and serial runs, and runs on different machines, agree bit for bit.
+The one randomized routine in the package, the block-determinant trials of
+``verification.check_block_det``, takes an explicit integer seed.  Its
+sub-seed is derived with SHA-256 so that runs on different machines agree
+bit for bit.  The prediction and the factorization oracle use no
+randomness; the master seed reaches the oracle only as a recorded value.
 """
 
 from __future__ import annotations

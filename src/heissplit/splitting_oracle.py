@@ -14,8 +14,9 @@ c^((q-1)/ell) = N(c)^((p-1)/ell): ell linear factors when c is an ell-th
 power, irreducible otherwise (Lidl-Niederreiter, *Finite Fields*,
 Thm 3.75).  The roots come from one ell-th root r of c, certified by
 r^ell = c; the factors are certified to re-multiply to the binomial, and an
-irreducible binomial by Ben-Or's test.  No randomness is involved, so the
-reports do not depend on the seed, which they only record.
+irreducible binomial by Ben-Or's test.  No randomness is involved:
+``split_K`` and ``split_R`` take the caller's seed only to record it in
+their reports, and nothing else in a report depends on it.
 
 The full cover R adjoins an ell-th root of the unit product
 eps(t) = prod (1 - zeta^i t^(1/ell))^i.  Above a K-prime with residue field

@@ -90,11 +90,11 @@ class ScanResult:
 
 
 def scan_point(ctx: Context, a: int, seed: int) -> ScanRecord:
-    """Prediction and oracle for one a; the per-point seed is derived."""
-    point_seed = derive_seed(seed, ctx.p, ctx.ell, a)
+    """Prediction and oracle for one a.  Neither uses randomness; the
+    oracle reports record ``seed``."""
     pred = frobenius_prediction(ctx, a)
-    rep_k = split_K(ctx, a, point_seed)
-    rep_r = split_R(ctx, a, point_seed)
+    rep_k = split_K(ctx, a, seed)
+    rep_r = split_R(ctx, a, seed)
     ell = ctx.ell
     if ell >= 3:
         bound_ok = rep_r.prime_count in (ell**3, ell**2)
@@ -322,7 +322,6 @@ def discriminant_ratio_check(
     ctx: Context,
     a: int,
     a2: int,
-    seed: int,
     *,
     allow_large: bool = False,
     check_choice_invariance: bool = True,
@@ -389,14 +388,12 @@ class ClassHistogram:
     bins: tuple[ClassBin, ...]
 
 
-def chebotarev_stats(ctx: Context, seed: int) -> ClassHistogram:
+def chebotarev_stats(ctx: Context) -> ClassHistogram:
     """Histogram of predicted Frobenius classes over all admissible a.
 
     Expected frequencies are class_size / ell^3 of the admissible count;
-    deviations are informational and never asserted.  ``seed`` is accepted
-    for interface symmetry; predictions are deterministic.
+    deviations are informational and never asserted.
     """
-    del seed
     ell = ctx.ell
     values = admissible_values(ctx)
     observed: dict[str, int] = {}

@@ -247,7 +247,7 @@ def test_criterion_6_discriminant_ratio():
             others = [a for a in values if a != anchor][:12]
             for i, a in enumerate(others):
                 repd = discriminant_ratio_check(
-                    ctx, a, anchor, SEED, check_choice_invariance=(i == 0)
+                    ctx, a, anchor, check_choice_invariance=(i == 0)
                 )
                 pair_counts[ell] += 1
                 if not repd.det_nonzero:

@@ -7,6 +7,7 @@ exhaustive enumeration, independent of the implementation under test.
 import hashlib
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -76,8 +77,7 @@ def reference_mul(fld, a, b):
 
 def random_field(p: int, m: int) -> ExtField:
     """F_{p^m} modulo a seeded random irreducible: dense reduction rows at
-    any p.  ``build_extension`` picks sparse moduli, and at some (p, m),
-    such as (2^31 - 1, 5), its key-order search runs through ~p candidates."""
+    any p, where ``build_extension`` picks sparse moduli."""
     rng = random.Random(p * 100 + m)
     while True:
         try:
@@ -313,6 +313,37 @@ class TestBuildExtension:
         assert hashlib.sha256(repr(grid).encode()).hexdigest() == (
             "e99c5d53fb83d06a47329386eebcd9be6a6d2e5cd8b2f0b999e11a7c219eef9c"
         )
+
+    def test_moduli_past_the_binomials(self):
+        # every odd prime p < 400 and m = 2..7, as sha256 of the list's
+        # repr: the moduli the search from key 0 chose.  At 246 of these
+        # pairs no x^m + c is irreducible, so the search starts at key p;
+        # at 166 of them gcd(m, p - 1) = 1
+        grid = [
+            (p, m, build_extension(p, m).modulus)
+            for p in range(3, 400) if is_prime(p) for m in range(2, 8)
+        ]
+        assert len(grid) == 462
+        assert hashlib.sha256(repr(grid).encode()).hexdigest() == (
+            "62cfe473ab4c978bae4d6706d387deb08f1d7137e0903b5627a394641c506f3a"
+        )
+
+    @pytest.mark.parametrize(
+        "p,m,modulus",
+        [
+            (200003, 3, (8, 1, 0, 1)),
+            (200003, 4, (3, 1, 0, 0, 1)),
+            (200003, 6, (4, 1, 0, 0, 0, 0, 1)),
+            (2**31 - 1, 5, (3, 1, 0, 0, 0, 1)),
+        ],
+    )
+    def test_no_irreducible_binomial_at_large_p_is_fast(self, p, m, modulus):
+        # a search from key 0 took 18-27 s at p = 200003 and did not end at
+        # 2^31 - 1; the uncached function is timed, so an earlier call
+        # cannot hide it
+        start = time.perf_counter()
+        assert build_extension.__wrapped__(p, m).modulus == modulus
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("p,m", [(7, 2), (7, 3), (5, 4), (13, 2), (3, 5)])
     def test_power_map_fixes_field(self, p, m):

@@ -1,11 +1,15 @@
-"""The oracle does not import the criterion code.
+"""The oracle does not import the criterion code, and neither uses
+randomness.
 
 ``splitting_oracle``, ``polynomial`` and ``finite_field`` must not reach
 ``heis_arith``, neither directly nor through another package module nor
 through the package ``__init__`` (which re-exports ``heis_arith``).
 ``finite_field``, the base layer, imports no package module but ``errors``.
-The checks read the sources with ``ast``, so they see every import
-statement, including ones inside functions.
+The prediction and the oracle (``heis_arith``, ``splitting_oracle``,
+``polynomial``, ``finite_field``, and every package module they reach)
+import neither ``random`` nor ``heissplit.seeds``.  The checks read the
+sources with ``ast``, so they see every import statement, including ones
+inside functions.
 """
 
 import ast
@@ -18,6 +22,7 @@ PACKAGE_DIR = Path(heissplit.__file__).parent
 ORACLE_MODULES = ("splitting_oracle", "polynomial", "finite_field")
 # "__init__" stands for the package itself, which imports heis_arith
 FORBIDDEN = {"heis_arith", "__init__"}
+DETERMINISTIC_MODULES = ("heis_arith", "splitting_oracle", "polynomial", "finite_field")
 
 
 def _is_module(name: str) -> bool:
@@ -49,15 +54,29 @@ def package_imports(source: str) -> set[str]:
     return found
 
 
-def reachable(start, read) -> set[str]:
-    """Every package module imported from ``start``, transitively."""
+def outside_imports(source: str) -> set[str]:
+    """Top-level names of the modules outside the package that ``source``
+    imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    found.discard(PACKAGE)
+    return found
+
+
+def reachable(start, read, stop=FORBIDDEN) -> set[str]:
+    """Every package module imported from ``start``, transitively; the
+    imports of a module in ``stop`` are not followed."""
     seen, todo = set(), list(start)
     while todo:
         module = todo.pop()
         if module in seen:
             continue
         seen.add(module)
-        if module not in FORBIDDEN:
+        if module not in stop:
             todo.extend(package_imports(read(module)))
     return seen
 
@@ -76,6 +95,34 @@ def test_finite_field_imports_only_errors():
     # the base layer: a lazy import of polynomial here would bring back the
     # cycle that a second polynomial kernel once existed to avoid
     assert package_imports(read_module("finite_field")) == {"errors"}
+
+
+def test_prediction_and_oracle_use_no_randomness():
+    # the package __init__ imports seeds, so reaching it is a leak too
+    seen = reachable(DETERMINISTIC_MODULES, read_module, stop={"__init__"})
+    assert not seen & {"seeds", "__init__"}, sorted(seen)
+    random_users = [m for m in sorted(seen) if "random" in outside_imports(read_module(m))]
+    assert random_users == []
+
+
+def test_randomness_guard_catches_every_import_form():
+    outside = {
+        "import random": {"random"},
+        "from random import Random": {"random"},
+        "import random as rnd, math": {"random", "math"},
+        "def f():\n    import random\n": {"random"},
+        "from .random import x": set(),
+        "from heissplit.polynomial import Poly": set(),
+    }
+    for source, names in outside.items():
+        assert outside_imports(source) == names, source
+    for source in (
+        "from .seeds import derive_seed",
+        "from . import seeds",
+        "import heissplit.seeds",
+        "from heissplit.seeds import derive_seed",
+    ):
+        assert package_imports(source) == {"seeds"}, source
 
 
 def test_guard_catches_every_import_form():

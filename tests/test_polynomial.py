@@ -1,4 +1,5 @@
-"""Polynomial arithmetic and the factorization engine."""
+"""Polynomial arithmetic, the binomial factorization engine, and the
+generic reference engine it is held to."""
 
 import random
 from math import comb
@@ -11,7 +12,6 @@ from heissplit import (
     DivisibilityError,
     ExtField,
     NotPrimeError,
-    NotSquarefreeError,
     PackedPoly,
     Poly,
     ZeroArgumentError,
@@ -19,13 +19,16 @@ from heissplit import (
     binomial,
     binomial_roots,
     build_extension,
-    count_irreducible_factors,
-    factor,
     factor_binomial,
     is_irreducible,
     make_context,
     power_residue_symbol,
     prime_field,
+)
+from reference_factor import (
+    NotSquarefreeError,
+    count_irreducible_factors,
+    factor,
     roots_in_field,
     squarefree_decomposition,
 )

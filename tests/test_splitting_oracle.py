@@ -8,17 +8,16 @@ from heissplit import (
     SymbolNotTrivialError,
     WrongEllError,
     binomial,
-    factor,
     is_prime,
     make_context,
     power_residue_symbol,
-    roots_in_field,
     split_K,
     split_R,
     split_R2_curve,
     splitting_oracle,
 )
 from heissplit.verification import admissible_values
+from reference_factor import factor, roots_in_field
 
 C13 = make_context(13, 2)
 C7 = make_context(7, 3)

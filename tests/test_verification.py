@@ -147,48 +147,48 @@ class TestBlockDet:
 
 class TestDiscriminantRatio:
     def test_smoke_self_ratio(self):
-        report = discriminant_ratio_check(make_context(13, 2), 4, 4, seed=1)
+        report = discriminant_ratio_check(make_context(13, 2), 4, 4)
         assert report.passed
 
     def test_example_13_2(self):
-        report = discriminant_ratio_check(make_context(13, 2), 4, 10, seed=1)
+        report = discriminant_ratio_check(make_context(13, 2), 4, 10)
         assert report.passed
 
     def test_example_31_3(self):
         report = discriminant_ratio_check(
-            make_context(31, 3), 2, 5, seed=1, check_choice_invariance=False
+            make_context(31, 3), 2, 5, check_choice_invariance=False
         )
         assert report.det_nonzero and report.passed
 
     def test_many_pairs_ell_2(self):
         ctx = make_context(13, 2)
         for a, a2 in ((2, 3), (5, 6), (9, 11), (4, 12)):
-            assert discriminant_ratio_check(ctx, a, a2, seed=1).passed
+            assert discriminant_ratio_check(ctx, a, a2).passed
 
     def test_large_ell_requires_opt_in(self):
         with pytest.raises(UnsupportedEllError):
-            discriminant_ratio_check(make_context(11, 5), 2, 3, seed=1)
+            discriminant_ratio_check(make_context(11, 5), 2, 3)
 
 
 class TestChebotarevStats:
     def test_bins_cover_classes_and_sum(self):
-        hist = chebotarev_stats(make_context(13, 2), seed=0)
+        hist = chebotarev_stats(make_context(13, 2))
         assert len(hist.bins) == 5
         assert sum(b.observed for b in hist.bins) == hist.total == 10
         assert {b.class_size for b in hist.bins} == {1, 2}
 
     def test_ell_3_bins(self):
-        hist = chebotarev_stats(make_context(31, 3), seed=0)
+        hist = chebotarev_stats(make_context(31, 3))
         assert len(hist.bins) == 11  # 3 central singletons + 8 classes of size 3
         assert sum(b.class_size for b in hist.bins) == 27
 
     def test_expected_fractions(self):
-        hist = chebotarev_stats(make_context(13, 2), seed=0)
+        hist = chebotarev_stats(make_context(13, 2))
         for b in hist.bins:
             assert b.expected == pytest.approx(b.class_size * hist.total / 8)
 
     def test_moderately_large_p_runs(self):
-        hist = chebotarev_stats(make_context(1009, 2), seed=0)
+        hist = chebotarev_stats(make_context(1009, 2))
         assert sum(b.observed for b in hist.bins) == hist.total == 1006
 
 
