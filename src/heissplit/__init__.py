@@ -18,11 +18,11 @@ from .errors import (
     NotPrimeError,
     NotResidueError,
     PolynomialityViolationError,
+    PrimeOutOfRangeError,
     SymbolNotTrivialError,
     UnsupportedEllError,
     WrongEllError,
     ZeroArgumentError,
-    ZeroPolynomialError,
 )
 from .finite_field import (
     Context,
@@ -60,7 +60,6 @@ from .polynomial import (
     Poly,
     binomial,
     factor_binomial,
-    is_irreducible,
 )
 from .seeds import DEFAULT_SEED, derive_seed
 from .splitting_oracle import (

@@ -14,16 +14,17 @@ class NotPrimeError(HeisSplitError):
     """An argument that must be prime is not."""
 
 
+class PrimeOutOfRangeError(HeisSplitError):
+    """A prime p at or above the supported bound ``finite_field.MAX_PRIME``
+    = 2^31."""
+
+
 class DivisibilityError(HeisSplitError):
     """ell does not divide p - 1."""
 
 
 class ZeroArgumentError(HeisSplitError):
     """Zero passed where a nonzero field element is required."""
-
-
-class ZeroPolynomialError(HeisSplitError):
-    """The zero polynomial passed where a nonzero one is required."""
 
 
 class MixedModulusError(HeisSplitError):

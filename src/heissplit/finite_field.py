@@ -43,6 +43,7 @@ from .errors import (
     DegenerateSpecializationError,
     DivisibilityError,
     NotPrimeError,
+    PrimeOutOfRangeError,
     ZeroArgumentError,
 )
 
@@ -422,7 +423,7 @@ def make_context(p: int, ell: int) -> Context:
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} is not prime")
     if p >= MAX_PRIME:
-        raise NotPrimeError(f"p = {p} exceeds the supported bound 2^31")
+        raise PrimeOutOfRangeError(f"p = {p} exceeds the supported bound 2^31")
     if not is_prime(ell):
         raise NotPrimeError(f"ell = {ell} is not prime")
     if (p - 1) % ell != 0:

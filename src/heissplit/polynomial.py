@@ -9,11 +9,12 @@ c^((q-1)/ell) = N(c)^((p-1)/ell) of the norm N(c) in F_p decides it and
 the certified ell-th roots of ``finite_field.binomial_roots`` give every
 factor.  It uses no randomness and certifies each answer: the root
 satisfies r^ell = c, the factors re-multiply to the binomial, and an
-irreducible binomial passes Ben-Or's test, which ``is_irreducible`` runs
-through the distinct-degree loop ``_ddf``.  There are no field
-embeddings: the oracle embeds only F_p images.  The tests hold it to a
-generic seeded Cantor-Zassenhaus engine that lives with them
-(``tests/reference_factor.py``).
+irreducible binomial carries Abel's certificate, c^((q-1)/ell) != 1
+computed by one field power, apart from the norm route that decided it.
+There is no polynomial division here and no field embedding: the oracle
+embeds only F_p images.  The tests hold the engine to a generic seeded
+Cantor-Zassenhaus engine, and Ben-Or's irreducibility test, that live
+with them (``tests/reference_factor.py``).
 
 Coefficients are stored lowest degree first and live in the coefficient
 field's element representation (ints for F_p, tuples for F_{p^m}).
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
-from .errors import MixedModulusError, ZeroPolynomialError
+from .errors import MixedModulusError
 from .finite_field import PrimeField, binomial_roots
 
 
@@ -70,10 +71,6 @@ class Poly:
         return cls(field, (field.one,))
 
     @classmethod
-    def x(cls, field) -> "Poly":
-        return cls(field, (field.zero, field.one))
-
-    @classmethod
     def constant(cls, field, c) -> "Poly":
         return cls(field, (c,))
 
@@ -87,16 +84,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
 
     def sort_key(self) -> tuple:
         """(degree, coefficient encoding) for canonical ordering."""
@@ -160,48 +147,6 @@ class Poly:
                     out[i + j] = f.add(out[i + j], f.mul(ai, bj))
         return Poly(f, out)
 
-    def scale(self, c) -> "Poly":
-        f = self.field
-        return Poly(f, [f.mul(c, x) for x in self.coeffs])
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._same_field(other)
-        if other.is_zero:
-            raise ZeroPolynomialError("division by the zero polynomial")
-        f = self.field
-        a = list(self.coeffs)
-        b = other.coeffs
-        if len(a) < len(b):
-            return Poly.zero(f), self
-        inv_lead = f.one if b[-1] == f.one else f.inv(b[-1])
-        q = [f.zero] * (len(a) - len(b) + 1)
-        for shift in range(len(a) - len(b), -1, -1):
-            c = f.mul(a[shift + len(b) - 1], inv_lead)
-            if c != f.zero:
-                q[shift] = c
-                for i, bi in enumerate(b):
-                    a[shift + i] = f.sub(a[shift + i], f.mul(c, bi))
-        return Poly(f, q), Poly(f, a[: len(b) - 1])
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero or self.is_monic:
-            return self
-        return self.scale(self.field.inv(self.leading))
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        self._same_field(other)
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
     def __pow__(self, e: int) -> "Poly":
         """self^e.  Over F_p, a linear base with e < p is expanded by the
         binomial theorem, and every other base by square-and-multiply with
@@ -254,17 +199,6 @@ class Poly:
             if not e:
                 return Poly(f, acc)
             base = _kronecker_mul(base, base, p)
-
-    def pow_mod(self, e: int, modulus: "Poly") -> "Poly":
-        """self^e reduced modulo ``modulus``."""
-        acc = Poly.one(self.field) % modulus
-        base = self % modulus
-        while e:
-            if e & 1:
-                acc = (acc * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return acc
 
     def evaluate(self, x):
         """self(x) by Horner's rule.  Repeated evaluation of one long
@@ -405,49 +339,6 @@ class Factorization:
 
 
 # ---------------------------------------------------------------------------
-# Ben-Or's irreducibility test
-# ---------------------------------------------------------------------------
-
-
-def _ddf(f: Poly) -> list[tuple[Poly, int]]:
-    """Distinct-degree split of a monic squarefree polynomial.
-
-    Returns (product of irreducibles of degree d, d) pairs.  On any monic
-    f, squarefree or not, an irreducible factor of degree e <= deg f / 2
-    makes it return a pair with d <= e; ``is_irreducible`` relies on that.
-    """
-    fld = f.field
-    q = fld.order
-    out = []
-    x = Poly.x(fld)
-    h = x % f
-    d = 0
-    while f.degree >= 2 * (d + 1):
-        d += 1
-        h = h.pow_mod(q, f)
-        g = f.gcd(h - x)
-        if g.degree > 0:
-            out.append((g, d))
-            f = f // g
-            h = h % f
-    if f.degree > 0:
-        out.append((f, f.degree))
-    return out
-
-
-def is_irreducible(f: Poly) -> bool:
-    """Ben-Or's test: f of degree m is irreducible iff it has no irreducible
-    factor of degree <= m/2, i.e. iff gcd(f, x^(q^d) - x) = 1 for every
-    d <= m/2 (Ben-Or, FOCS 1981).  ``_ddf`` runs exactly those d, so f is
-    irreducible iff it comes back as a single part of degree m.
-    """
-    if f.degree <= 0:
-        return False
-    parts = _ddf(f.monic())
-    return len(parts) == 1 and parts[0][1] == f.degree
-
-
-# ---------------------------------------------------------------------------
 # Binomials x^ell - c with ell prime and ell | p - 1
 # ---------------------------------------------------------------------------
 
@@ -456,6 +347,13 @@ def factor_binomial(fld, ell: int, c) -> Factorization:
     """Complete factorization of x^ell - c over ``fld``, with no
     randomness: its monic irreducible factors, each of multiplicity 1,
     sorted by ``Poly.sort_key``, and unit 1.
+
+    An irreducible answer is certified by Abel's theorem: for ell prime,
+    x^ell - c is irreducible over F_q iff c is not an ell-th power (Lang,
+    *Algebra*, VI Thm 9.1), i.e. iff c^((q-1)/ell) != 1.  That power is
+    taken by ``fld.pow``, square-and-multiply in O(log q) field products,
+    independently of the norm N(c)^((p-1)/ell) through the Frobenius
+    matrix that ``binomial_roots`` decides by.
 
     Requires ell prime (else NotPrimeError), ell | p - 1 (else
     DivisibilityError) and c != 0 (else ZeroArgumentError).
@@ -466,8 +364,9 @@ def factor_binomial(fld, ell: int, c) -> Factorization:
         linear = [Poly(fld, (fld.neg(r), fld.one)) for r in roots]
         factors = tuple((g, 1) for g in sorted(linear, key=Poly.sort_key))
     else:
-        # c is not an ell-th power, so x^ell - c is irreducible (Thm 3.75)
-        assert is_irreducible(f), "certificate: x^ell - c is irreducible"
+        assert fld.pow(c, (fld.order - 1) // ell) != fld.one, (
+            "certificate: c is not an ell-th power, so x^ell - c is irreducible"
+        )
         factors = ((f, 1),)
     fac = Factorization(field=fld, unit=fld.one, factors=factors)
     assert fac.expand() == f, "certificate: the factors re-multiply to x^ell - c"

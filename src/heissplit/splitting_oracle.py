@@ -14,7 +14,8 @@ c^((q-1)/ell) = N(c)^((p-1)/ell): ell linear factors when c is an ell-th
 power, irreducible otherwise (Lidl-Niederreiter, *Finite Fields*,
 Thm 3.75).  The roots come from one ell-th root r of c, certified by
 r^ell = c; the factors are certified to re-multiply to the binomial, and an
-irreducible binomial by Ben-Or's test.  No randomness is involved:
+irreducible binomial by Abel's criterion, c^((q-1)/ell) != 1 taken as one
+field power apart from the norm.  No randomness is involved:
 ``split_K`` and ``split_R`` take the caller's seed only to record it in
 their reports, and nothing else in a report depends on it.
 

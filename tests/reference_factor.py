@@ -8,24 +8,159 @@ internal random choices vary).
 
 No production path factors anything but binomials x^ell - c with
 ell | p - 1, which ``heissplit.polynomial.factor_binomial`` does without
-randomness.  The tests hold that engine, ``finite_field.binomial_roots``
-and the splitting oracle to this one, answer for answer.  The
-distinct-degree loop ``_ddf`` stays in the package, where Ben-Or's test
-(``is_irreducible``) runs through it.
+randomness and certifies irreducible by Abel's criterion, one field power.
+The tests hold that engine, ``finite_field.binomial_roots`` and the
+splitting oracle to this one, answer for answer, and hold every binomial
+the oracle declares irreducible to Ben-Or's test (``is_irreducible``).
+The polynomial division kernel (``poly_divmod`` and the ``gcd``,
+``pow_mod`` and ``_ddf`` built on it) lives here too: ``heissplit.Poly``
+keeps only the ring operations the package needs.
 """
 
 from __future__ import annotations
 
 import random
 
-from heissplit.errors import HeisSplitError, ZeroPolynomialError
+from heissplit.errors import HeisSplitError, MixedModulusError
 from heissplit.finite_field import PrimeField
-from heissplit.polynomial import Factorization, Poly, _ddf
+from heissplit.polynomial import Factorization, Poly
 from heissplit.seeds import derive_seed
 
 
 class NotSquarefreeError(HeisSplitError):
     """Polynomial has a repeated factor where a squarefree one is required."""
+
+
+class ZeroPolynomialError(HeisSplitError):
+    """The zero polynomial passed where a nonzero one is required."""
+
+
+# ---------------------------------------------------------------------------
+# Division, gcd and modular powers of ``Poly``
+# ---------------------------------------------------------------------------
+
+
+def poly_x(field) -> Poly:
+    return Poly(field, (field.zero, field.one))
+
+
+def leading(f: Poly):
+    if not f.coeffs:
+        raise ZeroPolynomialError("zero polynomial has no leading coefficient")
+    return f.coeffs[-1]
+
+
+def is_monic(f: Poly) -> bool:
+    return bool(f.coeffs) and f.coeffs[-1] == f.field.one
+
+
+def scale(f: Poly, c) -> Poly:
+    fld = f.field
+    return Poly(fld, [fld.mul(c, x) for x in f.coeffs])
+
+
+def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    if num.field != den.field:
+        raise MixedModulusError("polynomials over different fields")
+    if den.is_zero:
+        raise ZeroPolynomialError("division by the zero polynomial")
+    f = num.field
+    a = list(num.coeffs)
+    b = den.coeffs
+    if len(a) < len(b):
+        return Poly.zero(f), num
+    inv_lead = f.one if b[-1] == f.one else f.inv(b[-1])
+    q = [f.zero] * (len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = f.mul(a[shift + len(b) - 1], inv_lead)
+        if c != f.zero:
+            q[shift] = c
+            for i, bi in enumerate(b):
+                a[shift + i] = f.sub(a[shift + i], f.mul(c, bi))
+    return Poly(f, q), Poly(f, a[: len(b) - 1])
+
+
+def poly_floordiv(num: Poly, den: Poly) -> Poly:
+    return poly_divmod(num, den)[0]
+
+
+def poly_mod(num: Poly, den: Poly) -> Poly:
+    return poly_divmod(num, den)[1]
+
+
+def monic(f: Poly) -> Poly:
+    if f.is_zero or is_monic(f):
+        return f
+    return scale(f, f.field.inv(leading(f)))
+
+
+def gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor."""
+    if a.field != b.field:
+        raise MixedModulusError("polynomials over different fields")
+    while not b.is_zero:
+        a, b = b, poly_mod(a, b)
+    return monic(a)
+
+
+def pow_mod(f: Poly, e: int, modulus: Poly) -> Poly:
+    """f^e reduced modulo ``modulus``."""
+    acc = poly_mod(Poly.one(f.field), modulus)
+    base = poly_mod(f, modulus)
+    while e:
+        if e & 1:
+            acc = poly_mod(acc * base, modulus)
+        base = poly_mod(base * base, modulus)
+        e >>= 1
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Ben-Or's irreducibility test
+# ---------------------------------------------------------------------------
+
+
+def _ddf(f: Poly) -> list[tuple[Poly, int]]:
+    """Distinct-degree split of a monic squarefree polynomial.
+
+    Returns (product of irreducibles of degree d, d) pairs.  On any monic
+    f, squarefree or not, an irreducible factor of degree e <= deg f / 2
+    makes it return a pair with d <= e; ``is_irreducible`` relies on that.
+    """
+    fld = f.field
+    q = fld.order
+    out = []
+    x = poly_x(fld)
+    h = poly_mod(x, f)
+    d = 0
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        h = pow_mod(h, q, f)
+        g = gcd(f, h - x)
+        if g.degree > 0:
+            out.append((g, d))
+            f = poly_floordiv(f, g)
+            h = poly_mod(h, f)
+    if f.degree > 0:
+        out.append((f, f.degree))
+    return out
+
+
+def is_irreducible(f: Poly) -> bool:
+    """Ben-Or's test: f of degree m is irreducible iff it has no irreducible
+    factor of degree <= m/2, i.e. iff gcd(f, x^(q^d) - x) = 1 for every
+    d <= m/2 (Ben-Or, FOCS 1981).  ``_ddf`` runs exactly those d, so f is
+    irreducible iff it comes back as a single part of degree m.
+    """
+    if f.degree <= 0:
+        return False
+    parts = _ddf(monic(f))
+    return len(parts) == 1 and parts[0][1] == f.degree
+
+
+# ---------------------------------------------------------------------------
+# The generic engine
+# ---------------------------------------------------------------------------
 
 
 def derivative(f: Poly) -> Poly:
@@ -62,23 +197,23 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     p = fld.char
     out: list[tuple[Poly, int]] = []
     e = 1
-    f = f.monic()
+    f = monic(f)
     while f.degree > 0:
         df = derivative(f)
         if df.is_zero:
             f = _pth_root_poly(f)
             e *= p
             continue
-        g = f.gcd(df)
-        w = f // g
+        g = gcd(f, df)
+        w = poly_floordiv(f, g)
         i = 1
         while w.degree > 0:
-            y = w.gcd(g)
-            z = w // y
+            y = gcd(w, g)
+            z = poly_floordiv(w, y)
             if z.degree > 0:
                 out.append((z, i * e))
             w = y
-            g = g // y
+            g = poly_floordiv(g, y)
             i += 1
         f = g
     out.sort(key=lambda pair: (pair[1], pair[0].sort_key()))
@@ -101,24 +236,24 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     one = Poly.one(fld)
     while True:
         h = _random_poly(fld, f.degree - 1, rng)
-        g = f.gcd(h)
+        g = gcd(f, h)
         if 0 < g.degree < f.degree:
             break
         if fld.char == 2:
             # additive trace map splits in characteristic 2
             k = d * (q.bit_length() - 1)  # q = 2^k exactly
-            t = h % f
+            t = poly_mod(h, f)
             acc = t
             for _ in range(k - 1):
-                t = t.pow_mod(2, f)
+                t = pow_mod(t, 2, f)
                 acc = acc + t
-            g = f.gcd(acc)
+            g = gcd(f, acc)
         else:
-            w = h.pow_mod((q**d - 1) // 2, f)
-            g = f.gcd(w - one)
+            w = pow_mod(h, (q**d - 1) // 2, f)
+            g = gcd(f, w - one)
         if 0 < g.degree < f.degree:
             break
-    return _edf(g, d, rng) + _edf(f // g, d, rng)
+    return _edf(g, d, rng) + _edf(poly_floordiv(f, g), d, rng)
 
 
 def factor(f: Poly, seed: int) -> Factorization:
@@ -129,8 +264,8 @@ def factor(f: Poly, seed: int) -> Factorization:
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    unit = f.leading
-    f = f.monic()
+    unit = leading(f)
+    f = monic(f)
     if f.degree == 0:
         return Factorization(field=f.field, unit=unit, factors=())
     factors: list[tuple[Poly, int]] = []
@@ -148,7 +283,7 @@ def count_irreducible_factors(f: Poly, seed: int) -> tuple[int, tuple[int, ...]]
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     df = derivative(f)
-    if df.is_zero or f.gcd(df).degree > 0:
+    if df.is_zero or gcd(f, df).degree > 0:
         raise NotSquarefreeError("polynomial has repeated factors")
     fac = factor(f, seed)
     degrees = tuple(sorted(p.degree for p, _ in fac.factors))
@@ -166,9 +301,9 @@ def roots_in_field(f: Poly) -> tuple:
     fld = f.field
     if f.degree == 0:
         return ()
-    x = Poly.x(fld)
-    h = x.pow_mod(fld.order, f)
-    g = f.gcd(h - x)
+    x = poly_x(fld)
+    h = pow_mod(x, fld.order, f)
+    g = gcd(f, h - x)
     if g.degree == 0:
         return ()
     rng = random.Random(derive_seed(0, "roots", g.sort_key()))

@@ -169,6 +169,12 @@ class TestScanVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_frob_prime_past_the_bound_exit_2(self, capsys):
+        # 2^31 + 11 is prime; the bound rejects it with a typed error
+        code, out, err = run(capsys, "frob", "-p", "2147483659", "-l", "2", "-a", "5")
+        assert code == 2 and out == ""
+        assert err == "error: p = 2147483659 exceeds the supported bound 2^31\n"
+
     def test_no_command_usage(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2

@@ -19,6 +19,7 @@ from heissplit import (
     ExtField,
     NotPrimeError,
     PrimeField,
+    PrimeOutOfRangeError,
     ZeroArgumentError,
     binomial_roots,
     build_extension,
@@ -32,7 +33,8 @@ from heissplit import (
     primitive_root,
 )
 from heissplit.finite_field import _ell_sylow
-from heissplit.polynomial import Poly, is_irreducible
+from heissplit.polynomial import Poly
+from reference_factor import is_irreducible, poly_x, pow_mod
 
 SMALL_CONTEXTS = [(13, 2), (5, 2), (7, 3), (31, 3), (11, 5), (199, 2), (43, 7)]
 
@@ -168,6 +170,12 @@ class TestMakeContext:
             make_context(15, 2)
         with pytest.raises(NotPrimeError):
             make_context(13, 4)
+
+    def test_prime_past_the_bound(self):
+        # 2^31 + 11 is prime: the contract bound, not primality, rejects it
+        assert is_prime(2147483659)
+        with pytest.raises(PrimeOutOfRangeError, match=r"exceeds the supported bound 2\^31"):
+            make_context(2147483659, 2)
 
     @pytest.mark.parametrize("p,ell", SMALL_CONTEXTS)
     def test_zeta_has_exact_order_ell(self, p, ell):
@@ -359,7 +367,8 @@ class TestBuildExtension:
     def test_modulus_is_first_candidate_poly_rabin_accepts(self, p, m):
         # candidates in key order: coefficients c_0..c_{m-1} are the base-p
         # digits of n; both tests are Ben-Or's, but the Poly one runs through
-        # polynomial._ddf, separate code from ExtField's test in its own ring
+        # the reference engine's _ddf, separate code from ExtField's test in
+        # its own ring
         fld = prime_field(p)
         for n in range(p**m):
             digits = [n // p**i % p for i in range(m)]
@@ -378,7 +387,7 @@ class TestBuildExtension:
         fld = prime_field(3)
         f = Poly(fld, (0, 1)) * Poly(fld, (1, 0, 1)) * Poly(fld, (1, 2, 0, 1))
         assert f.degree == 6
-        assert Poly.x(fld).pow_mod(3**6, f) == Poly.x(fld)
+        assert pow_mod(poly_x(fld), 3**6, f) == poly_x(fld)
         with pytest.raises(ValueError):
             ExtField(3, tuple(f.coeffs))
 

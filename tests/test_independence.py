@@ -13,6 +13,7 @@ inside functions.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import heissplit
@@ -146,3 +147,34 @@ def test_guard_follows_other_modules():
         "verification": "from .heis_arith import frobenius_prediction",
     }
     assert "heis_arith" in reachable(["splitting_oracle"], sources.get)
+
+
+# Every public name of the package, sorted: a change to the API shows here.
+PUBLIC_NAMES = [
+    "ClassHistogram", "Context", "DEFAULT_SEED", "DegenerateSpecializationError",
+    "DegenerateValueError", "DivisibilityError", "ExpansionTooLargeError",
+    "ExtField", "Factorization", "FrobPrediction", "HeisElem", "HeisSplitError",
+    "MalformedSpecError", "MixedModulusError", "NoRootOfUnityError",
+    "NotPrimeError", "NotResidueError", "PackedPoly", "Poly",
+    "PolynomialityViolationError", "PrimeField", "PrimeOutOfRangeError",
+    "ScanRecord", "ScanResult", "SplitReport", "SymbolNotTrivialError",
+    "UnsupportedEllError", "WrongEllError", "ZeroArgumentError", "a2_value",
+    "a_ell_value", "a_poly_eval", "admissible_values", "binomial",
+    "binomial_roots", "build_extension", "chebotarev_stats", "check_block_det",
+    "class_label", "classify_a2", "conjugacy_classes", "derive_seed",
+    "discriminant_ratio_check", "element_order", "epsilon_value",
+    "expand_a_poly", "factor_binomial", "frobenius_prediction", "identity",
+    "is_prime", "lth_root", "make_context", "power_residue_symbol",
+    "prime_field", "primitive_root", "split_K", "split_R", "split_R2_curve",
+    "verify_theorems_scan",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(
+        name
+        for name, value in vars(heissplit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert public == PUBLIC_NAMES

@@ -15,20 +15,24 @@ from heissplit import (
     PackedPoly,
     Poly,
     ZeroArgumentError,
-    ZeroPolynomialError,
     binomial,
     binomial_roots,
     build_extension,
     factor_binomial,
-    is_irreducible,
     make_context,
+    polynomial,
     power_residue_symbol,
     prime_field,
 )
 from reference_factor import (
     NotSquarefreeError,
+    ZeroPolynomialError,
     count_irreducible_factors,
     factor,
+    is_irreducible,
+    is_monic,
+    poly_divmod,
+    poly_mod,
     roots_in_field,
     squarefree_decomposition,
 )
@@ -68,7 +72,7 @@ class TestArithmetic:
         pa, pb = Poly(F7, a), Poly(F7, b)
         if pb.is_zero:
             return
-        q, r = divmod(pa, pb)
+        q, r = poly_divmod(pa, pb)
         assert q * pb + r == pa
         assert r.degree < pb.degree
 
@@ -274,7 +278,7 @@ class TestFactor:
         assert fac.expand() == f
         assert sum(g.degree * m for g, m in fac) == f.degree
         for g, _ in fac:
-            assert g.is_monic and is_irreducible(g)
+            assert is_monic(g) and is_irreducible(g)
 
     @pytest.mark.parametrize("p,ell", [(13, 2), (7, 3), (31, 3), (11, 5)])
     def test_binomial_factor_count_matches_symbol(self, p, ell):
@@ -371,6 +375,15 @@ class TestFactorBinomial:
         with pytest.raises(NotPrimeError):
             factor_binomial(prime_field(13), 4, 3)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_abel_certificate_fires(self, monkeypatch, m):
+        # with its roots withheld, x^2 - 4 = (x - 2)(x + 2) reaches the
+        # irreducible branch, whose certificate must refuse it
+        fld = build_extension(13, m)
+        monkeypatch.setattr(polynomial, "binomial_roots", lambda *args: ())
+        with pytest.raises(AssertionError, match="c is not an ell-th power"):
+            factor_binomial(fld, 2, fld.embed(4))
+
 
 class TestSquarefree:
     def test_char_p_power(self):
@@ -442,7 +455,7 @@ def _monic_polys(fld, m):
 
 def _reducible_by_trial_division(f):
     return any(
-        (f % g).is_zero
+        poly_mod(f, g).is_zero
         for d in range(1, f.degree // 2 + 1)
         for g in _monic_polys(f.field, d)
     )

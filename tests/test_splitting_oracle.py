@@ -1,6 +1,8 @@
 """The factorization oracle: counts, degrees, determinism, and the ell = 2
 curve-model cross-check."""
 
+from collections import Counter
+
 import pytest
 
 from heissplit import (
@@ -8,6 +10,7 @@ from heissplit import (
     SymbolNotTrivialError,
     WrongEllError,
     binomial,
+    factor_binomial,
     is_prime,
     make_context,
     power_residue_symbol,
@@ -16,8 +19,8 @@ from heissplit import (
     split_R2_curve,
     splitting_oracle,
 )
-from heissplit.verification import admissible_values
-from reference_factor import factor, roots_in_field
+from heissplit.verification import admissible_values, scan_point
+from reference_factor import factor, is_irreducible, roots_in_field
 
 C13 = make_context(13, 2)
 C7 = make_context(7, 3)
@@ -142,7 +145,46 @@ def _generic_points():
                 yield p, ell
 
 
+# (ell, primes p) of the scans whose irreducible binomials Ben-Or re-checks
+BEN_OR_GRIDS = {
+    2: [p for p in range(3, 62) if is_prime(p)],
+    3: [p for p in range(7, 98) if is_prime(p) and p % 3 == 1],
+    5: (11, 31, 41, 61, 71),
+    7: (29, 43),
+    11: (23, 67),
+}
+
+
 class TestEngines:
+    def test_irreducible_binomials_pass_ben_or(self, monkeypatch):
+        # factor_binomial certifies an irreducible binomial by Abel's
+        # criterion, one field power; Ben-Or's test, separate code, must
+        # agree on every binomial that these scans declare irreducible
+        declared = []
+
+        def recording(fld, ell, c):
+            fac = factor_binomial(fld, ell, c)
+            if len(fac) == 1:
+                declared.append((fld, ell, c))
+            return fac
+
+        splitting_oracle._k_primes.cache_clear()
+        monkeypatch.setattr(splitting_oracle, "factor_binomial", recording)
+        for ell, primes in BEN_OR_GRIDS.items():
+            for p in primes:
+                ctx = make_context(p, ell)
+                for a in admissible_values(ctx):
+                    scan_point(ctx, a, 1)
+        splitting_oracle._k_primes.cache_clear()
+        distinct = set(declared)
+        refuted = [b for b in distinct if not is_irreducible(binomial(*b))]
+        assert refuted == []
+        shapes = Counter((ell, fld.degree) for fld, ell, _c in distinct)
+        assert {ell for ell, _m in shapes} == set(BEN_OR_GRIDS)
+        # the z-binomials of order-4 Frobenius classes are irreducible
+        # over F_{p^2}
+        assert shapes[2, 2] > 0
+
     @pytest.mark.parametrize("p,ell", list(_generic_points()))
     def test_reports_equal_generic_engine(self, monkeypatch, p, ell):
         # the binomial engine must reproduce the generic Cantor-Zassenhaus
