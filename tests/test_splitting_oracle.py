@@ -1,6 +1,7 @@
 """The factorization oracle: counts, degrees, determinism, and the ell = 2
 curve-model cross-check."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -146,13 +147,37 @@ def _generic_points():
 
 
 # (ell, primes p) of the scans whose irreducible binomials Ben-Or re-checks
-BEN_OR_GRIDS = {
+# and whose scan_point reprs are pinned
+SCAN_GRIDS = {
     2: [p for p in range(3, 62) if is_prime(p)],
     3: [p for p in range(7, 98) if is_prime(p) and p % 3 == 1],
     5: (11, 31, 41, 61, 71),
     7: (29, 43),
     11: (23, 67),
 }
+
+
+# sha256 of the concatenated repr(scan_point(make_context(p, ell), a, 7))
+# over SCAN_GRIDS[ell], p ascending, then every admissible a in order
+GOLDEN_DIGESTS = {
+    2: "661d4683f287d64bdba0a528e8f756bcd9875fa5754f268bb1962301a32722cd",
+    3: "22129ec847b272b4cd8630bfda4e81b065ca134a36f8daf254684665592c4ace",
+    5: "81b147f31a757d9cb65ed41b26c733526ec3019c5385bff667f7690a7bbc72f7",
+    7: "a6cfa140364c40ee2cd93ce962226143f394469140a241867687f2ebcf07b5a5",
+    11: "dbbfe1bccd95f45bd2babff393a93a506afbd20b7cb0b2c1a38b6066867bc902",
+}
+
+
+@pytest.mark.parametrize("ell", sorted(GOLDEN_DIGESTS))
+def test_scan_points_match_golden_digest(ell):
+    # every field of every report, traces and seed included, is pinned:
+    # a refactor of the oracle or the prediction must leave them all alone
+    digest = hashlib.sha256()
+    for p in SCAN_GRIDS[ell]:
+        ctx = make_context(p, ell)
+        for a in admissible_values(ctx):
+            digest.update(repr(scan_point(ctx, a, 7)).encode())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[ell]
 
 
 class TestEngines:
@@ -170,7 +195,7 @@ class TestEngines:
 
         splitting_oracle._k_primes.cache_clear()
         monkeypatch.setattr(splitting_oracle, "factor_binomial", recording)
-        for ell, primes in BEN_OR_GRIDS.items():
+        for ell, primes in SCAN_GRIDS.items():
             for p in primes:
                 ctx = make_context(p, ell)
                 for a in admissible_values(ctx):
@@ -180,7 +205,7 @@ class TestEngines:
         refuted = [b for b in distinct if not is_irreducible(binomial(*b))]
         assert refuted == []
         shapes = Counter((ell, fld.degree) for fld, ell, _c in distinct)
-        assert {ell for ell, _m in shapes} == set(BEN_OR_GRIDS)
+        assert {ell for ell, _m in shapes} == set(SCAN_GRIDS)
         # the z-binomials of order-4 Frobenius classes are irreducible
         # over F_{p^2}
         assert shapes[2, 2] > 0
