@@ -54,13 +54,7 @@ from .heisenberg import (
     element_order,
     identity,
 )
-from .polynomial import (
-    Factorization,
-    PackedPoly,
-    Poly,
-    binomial,
-    factor_binomial,
-)
+from .polynomial import PackedPoly, Poly
 from .seeds import DEFAULT_SEED, derive_seed
 from .splitting_oracle import (
     SplitReport,

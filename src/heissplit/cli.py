@@ -334,6 +334,17 @@ def _cmd_disc(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the counts (--jobs, --trials, -n): an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heissplit",
@@ -393,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", parents=[common, multi_p],
                             help="prediction vs oracle for every admissible a")
-    p_scan.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_scan.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_verify = sub.add_parser("verify", parents=[common, multi_p],
@@ -406,8 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detlemma", parents=[common, single_p],
                            help="randomized block determinant identity trials")
-    p_det.add_argument("--trials", type=int, default=100)
-    p_det.add_argument("-n", "--block-size", type=int, default=2)
+    p_det.add_argument("--trials", type=_positive_int, default=100)
+    p_det.add_argument("-n", "--block-size", type=_positive_int, default=2)
     p_det.set_defaults(handler=_cmd_detlemma)
 
     p_disc = sub.add_parser("disc", parents=[common, single_p, need_a],

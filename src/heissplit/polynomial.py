@@ -1,28 +1,19 @@
 """Dense univariate polynomials over any constructed finite field.
 
-One factorization engine lives here: ``factor_binomial``, the engine of
-the splitting oracle, whose every polynomial is a binomial x^ell - c over
-F_q = F_{p^m} with ell a prime dividing p - 1.  Such a binomial splits into
-ell linear factors when c is an ell-th power and is irreducible otherwise
-(Lidl-Niederreiter, *Finite Fields*, Thm 3.75), so the power
-c^((q-1)/ell) = N(c)^((p-1)/ell) of the norm N(c) in F_p decides it and
-the certified ell-th roots of ``finite_field.binomial_roots`` give every
-factor.  It uses no randomness and certifies each answer: the root
-satisfies r^ell = c, the factors re-multiply to the binomial, and an
-irreducible binomial carries Abel's certificate, c^((q-1)/ell) != 1
-computed by one field power, apart from the norm route that decided it.
-There is no polynomial division here and no field embedding: the oracle
-embeds only F_p images.  The tests hold the engine to a generic seeded
-Cantor-Zassenhaus engine, and Ben-Or's irreducibility test, that live
-with them (``tests/reference_factor.py``).
+The oracle factors nothing here: its binomials x^ell - c are decided in
+roots and degrees by ``splitting_oracle.binomial_factors``.  ``Poly`` is
+the ring of the criterion polynomial, and over any field the ring of the
+generic seeded Cantor-Zassenhaus engine and Ben-Or's irreducibility test
+that live with the tests (``tests/reference_factor.py``) and hold the
+oracle to account.
 
 Coefficients are stored lowest degree first and live in the coefficient
 field's element representation (ints for F_p, tuples for F_{p^m}).
 
 Over F_p, two kernels and one packed form carry the criterion polynomial
 of ``heis_arith`` (degree up to about (ell - 1) p / 2).  ``__mul__`` stays
-schoolbook: the oracle's products have degree at most a few, where packing
-costs more than it saves.  ``__pow__`` expands a linear base by the
+schoolbook: the criterion's other products have degree below ell^2 / 2,
+where packing costs more than it saves.  ``__pow__`` expands a linear base by the
 binomial theorem with one modular inverse, and powers every other base by
 square-and-multiply in which each product is one big-int multiply of
 Kronecker-packed coefficients (Harvey, "Faster polynomial multiplication
@@ -36,12 +27,11 @@ hold the packed form to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
 from .errors import MixedModulusError
-from .finite_field import PrimeField, binomial_roots
+from .finite_field import PrimeField
 
 
 class Poly:
@@ -69,10 +59,6 @@ class Poly:
     @classmethod
     def one(cls, field) -> "Poly":
         return cls(field, (field.one,))
-
-    @classmethod
-    def constant(cls, field, c) -> "Poly":
-        return cls(field, (c,))
 
     # -- basic queries -----------------------------------------------------
 
@@ -307,68 +293,3 @@ class PackedPoly:
         for i in range((b - 1) * w, -1, -w):
             acc = (acc * x + int.from_bytes(raw[i:i + w], "little")) % p
         return acc
-
-
-def binomial(field, n: int, c) -> Poly:
-    """x^n - c over ``field``."""
-    coeffs = [field.neg(c)] + [field.zero] * (n - 1) + [field.one]
-    return Poly(field, coeffs)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete factorization: unit * prod(poly^multiplicity)."""
-
-    field: object
-    unit: object
-    factors: tuple[tuple[Poly, int], ...]
-
-    def expand(self) -> Poly:
-        """Re-multiply; must reproduce the input exactly."""
-        acc = Poly.constant(self.field, self.unit)
-        for poly, mult in self.factors:
-            for _ in range(mult):
-                acc = acc * poly
-        return acc
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-
-# ---------------------------------------------------------------------------
-# Binomials x^ell - c with ell prime and ell | p - 1
-# ---------------------------------------------------------------------------
-
-
-def factor_binomial(fld, ell: int, c) -> Factorization:
-    """Complete factorization of x^ell - c over ``fld``, with no
-    randomness: its monic irreducible factors, each of multiplicity 1,
-    sorted by ``Poly.sort_key``, and unit 1.
-
-    An irreducible answer is certified by Abel's theorem: for ell prime,
-    x^ell - c is irreducible over F_q iff c is not an ell-th power (Lang,
-    *Algebra*, VI Thm 9.1), i.e. iff c^((q-1)/ell) != 1.  That power is
-    taken by ``fld.pow``, square-and-multiply in O(log q) field products,
-    independently of the norm N(c)^((p-1)/ell) through the Frobenius
-    matrix that ``binomial_roots`` decides by.
-
-    Requires ell prime (else NotPrimeError), ell | p - 1 (else
-    DivisibilityError) and c != 0 (else ZeroArgumentError).
-    """
-    f = binomial(fld, ell, c)
-    roots = binomial_roots(fld, ell, c)
-    if roots:
-        linear = [Poly(fld, (fld.neg(r), fld.one)) for r in roots]
-        factors = tuple((g, 1) for g in sorted(linear, key=Poly.sort_key))
-    else:
-        assert fld.pow(c, (fld.order - 1) // ell) != fld.one, (
-            "certificate: c is not an ell-th power, so x^ell - c is irreducible"
-        )
-        factors = ((f, 1),)
-    fac = Factorization(field=fld, unit=fld.one, factors=factors)
-    assert fac.expand() == f, "certificate: the factors re-multiply to x^ell - c"
-    return fac
-

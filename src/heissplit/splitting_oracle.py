@@ -8,16 +8,17 @@ u^ell - a over F_p, irreducible factor of v^ell - (1 - a) over the residue
 field of the first factor).
 
 Every polynomial factored here is a binomial x^ell - c over a field
-F_q = F_{p^m} with ell | p - 1 (zeta lies in F_p).
-``polynomial.factor_binomial`` decides it by the norm N(c) to F_p, with
-c^((q-1)/ell) = N(c)^((p-1)/ell): ell linear factors when c is an ell-th
-power, irreducible otherwise (Lidl-Niederreiter, *Finite Fields*,
-Thm 3.75).  The roots come from one ell-th root r of c, certified by
-r^ell = c; the factors are certified to re-multiply to the binomial, and an
-irreducible binomial by Abel's criterion, c^((q-1)/ell) != 1 taken as one
-field power apart from the norm.  No randomness is involved:
-``split_K`` and ``split_R`` take the caller's seed only to record it in
-their reports, and nothing else in a report depends on it.
+F_q = F_{p^m} with ell | p - 1 (zeta lies in F_p), and the oracle needs
+only its roots, or the fact that it is irreducible.  ``binomial_factors``
+decides it by the norm N(c) to F_p, with c^((q-1)/ell) = N(c)^((p-1)/ell):
+ell linear factors when c is an ell-th power, irreducible otherwise
+(Lidl-Niederreiter, *Finite Fields*, Thm 3.75), and returns one
+(degree, root) pair per factor.  The roots come from one ell-th root r of
+c, certified by r^ell = c; the roots are certified to re-multiply to the
+binomial, and an irreducible binomial by Abel's criterion, c^((q-1)/ell)
+!= 1 taken as one field power apart from the norm.  No randomness is
+involved: ``split_K`` and ``split_R`` take the caller's seed only to
+record it in their reports, and nothing else in a report depends on it.
 
 The full cover R adjoins an ell-th root of the unit product
 eps(t) = prod (1 - zeta^i t^(1/ell))^i.  Above a K-prime with residue field
@@ -55,7 +56,6 @@ from .finite_field import (
     power_residue_symbol,
     prime_field,
 )
-from .polynomial import factor_binomial
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,43 @@ class _KPrime:
     v_index: int
 
 
+def binomial_factors(fld, ell: int, c) -> tuple[tuple[int, object], ...]:
+    """One (degree, root) pair per monic irreducible factor of x^ell - c
+    over ``fld``, with no randomness: (1, r) for each root r, sorted by the
+    key of the factor's constant term -r, or ((ell, None),) when the
+    binomial is irreducible.
+
+    An irreducible answer is certified by Abel's theorem: for ell prime,
+    x^ell - c is irreducible over F_q iff c is not an ell-th power (Lang,
+    *Algebra*, VI Thm 9.1), i.e. iff c^((q-1)/ell) != 1.  That power is
+    taken by ``fld.pow``, square-and-multiply in O(log q) field products,
+    independently of the norm N(c)^((p-1)/ell) through the Frobenius
+    matrix that ``binomial_roots`` decides by.
+
+    Requires ell prime (else NotPrimeError), ell | p - 1 (else
+    DivisibilityError) and c != 0 (else ZeroArgumentError).
+    """
+    roots = binomial_roots(fld, ell, c)
+    if not roots:
+        assert fld.pow(c, (fld.order - 1) // ell) != fld.one, (
+            "certificate: c is not an ell-th power, so x^ell - c is irreducible"
+        )
+        return ((ell, None),)
+    roots = sorted(roots, key=lambda r: fld.elem_key(fld.neg(r)))
+    prod = [fld.one]  # prod (x - r) over the roots, lowest degree first
+    for r in roots:
+        nr = fld.neg(r)
+        prod = (
+            [fld.mul(nr, prod[0])]
+            + [fld.add(lo, fld.mul(nr, hi)) for lo, hi in zip(prod, prod[1:])]
+            + [fld.one]
+        )
+    assert prod == [fld.neg(c)] + [fld.zero] * (ell - 1) + [fld.one], (
+        "certificate: the factors re-multiply to x^ell - c"
+    )
+    return tuple((1, r) for r in roots)
+
+
 def _check_a(ctx: Context, a: int) -> int:
     a %= ctx.p
     if a in (0, 1):
@@ -115,22 +152,14 @@ def _k_primes(ctx: Context, a: int) -> tuple[_KPrime, ...]:
     Cached so that split_K and split_R at the same point share the work.
     """
     p, ell = ctx.p, ctx.ell
-    base = prime_field(p)
-    u_fac = factor_binomial(base, ell, a)
-    assert all(mult == 1 for _, mult in u_fac), "u^ell - a must be squarefree"
     out = []
-    for iu, (u_factor, _) in enumerate(u_fac.factors):
-        m = u_factor.degree
+    for iu, (m, x_mid) in enumerate(binomial_factors(prime_field(p), ell, a)):
         mid = build_extension(p, m)
-        if m == 1:
-            x_mid = base.neg(u_factor.coeffs[0])
-        else:
+        if m > 1:
             # u^ell - a is irreducible over F_p and splits over F_{p^ell}
             x_mid = binomial_roots(mid, ell, mid.embed(a))[0]
-        v_fac = factor_binomial(mid, ell, mid.embed((1 - a) % p))
-        assert all(mult == 1 for _, mult in v_fac)
-        for iv, (v_factor, _) in enumerate(v_fac.factors):
-            d = v_factor.degree
+        v_pairs = binomial_factors(mid, ell, mid.embed((1 - a) % p))
+        for iv, (d, _) in enumerate(v_pairs):
             if d == 1:
                 out.append(_KPrime(mid, x_mid, m, iu, iv))
             else:
@@ -186,12 +215,8 @@ def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
         eps1 = epsilon_value(ctx, kp.x_image, shift=1, field=fld)
         ratio = fld.mul(eps1, fld.inv(eps))
         assert pow(fld.norm(ratio), ctx.cofactor, ctx.p) == 1
-        z_fac = factor_binomial(fld, ell, eps)
-        assert all(mult == 1 for _, mult in z_fac)
-        for iz, (z_factor, _) in enumerate(z_fac.factors):
-            primes.append(
-                PrimeTrace(kp.u_index, kp.v_index, iz, kp.degree * z_factor.degree)
-            )
+        for iz, (d, _) in enumerate(binomial_factors(fld, ell, eps)):
+            primes.append(PrimeTrace(kp.u_index, kp.v_index, iz, kp.degree * d))
     degrees = tuple(sorted(t.degree for t in primes))
     assert sum(degrees) == ell**3, "residue degrees must sum to ell^3"
     assert len(set(degrees)) == 1, "conjugate primes share the residue degree"

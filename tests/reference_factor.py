@@ -6,24 +6,28 @@ Cantor-Zassenhaus equal-degree splitting.  For a fixed seed the output is
 identical across runs; across seeds the factor multiset is identical (only
 internal random choices vary).
 
-No production path factors anything but binomials x^ell - c with
-ell | p - 1, which ``heissplit.polynomial.factor_binomial`` does without
-randomness and certifies irreducible by Abel's criterion, one field power.
-The tests hold that engine, ``finite_field.binomial_roots`` and the
-splitting oracle to this one, answer for answer, and hold every binomial
-the oracle declares irreducible to Ben-Or's test (``is_irreducible``).
-The polynomial division kernel (``poly_divmod`` and the ``gcd``,
-``pow_mod`` and ``_ddf`` built on it) lives here too: ``heissplit.Poly``
-keeps only the ring operations the package needs.
+No production path factors anything: the oracle's binomials x^ell - c
+with ell | p - 1 are decided in roots and degrees by
+``heissplit.splitting_oracle.binomial_factors``, without randomness, and an
+irreducible one is certified by Abel's criterion, one field power.  The
+tests hold that function (through ``binomial_pairs``),
+``finite_field.binomial_roots`` and the splitting oracle to this engine,
+answer for answer, and hold every binomial the oracle declares irreducible
+to Ben-Or's test (``is_irreducible``).  ``Factorization`` and ``binomial``
+live here with the engine, their only user.  The polynomial division
+kernel (``poly_divmod`` and the ``gcd``, ``pow_mod`` and ``_ddf`` built on
+it) lives here too: ``heissplit.Poly`` keeps only the ring operations the
+package needs.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from heissplit.errors import HeisSplitError, MixedModulusError
 from heissplit.finite_field import PrimeField
-from heissplit.polynomial import Factorization, Poly
+from heissplit.polynomial import Poly
 from heissplit.seeds import derive_seed
 
 
@@ -33,6 +37,35 @@ class NotSquarefreeError(HeisSplitError):
 
 class ZeroPolynomialError(HeisSplitError):
     """The zero polynomial passed where a nonzero one is required."""
+
+
+def binomial(field, n: int, c) -> Poly:
+    """x^n - c over ``field``."""
+    coeffs = [field.neg(c)] + [field.zero] * (n - 1) + [field.one]
+    return Poly(field, coeffs)
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Complete factorization: unit * prod(poly^multiplicity)."""
+
+    field: object
+    unit: object
+    factors: tuple[tuple[Poly, int], ...]
+
+    def expand(self) -> Poly:
+        """Re-multiply; must reproduce the input exactly."""
+        acc = Poly(self.field, (self.unit,))
+        for poly, mult in self.factors:
+            for _ in range(mult):
+                acc = acc * poly
+        return acc
+
+    def __iter__(self):
+        return iter(self.factors)
+
+    def __len__(self) -> int:
+        return len(self.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +309,19 @@ def factor(f: Poly, seed: int) -> Factorization:
                 factors.append((irred, mult))
     factors.sort(key=lambda pair: pair[0].sort_key())
     return Factorization(field=f.field, unit=unit, factors=tuple(factors))
+
+
+def binomial_pairs(fld, ell: int, c, seed: int) -> tuple[tuple[int, object], ...]:
+    """``factor`` of x^ell - c in the form of
+    ``splitting_oracle.binomial_factors``: one (degree, root) pair per
+    factor, the root of a linear factor and None for any other.  A binomial
+    with ell | q - 1 and c != 0 is squarefree and monic, which is asserted.
+    """
+    fac = factor(binomial(fld, ell, c), seed)
+    assert fac.unit == fld.one and all(mult == 1 for _, mult in fac)
+    return tuple(
+        (g.degree, fld.neg(g.coeffs[0]) if g.degree == 1 else None) for g, _ in fac
+    )
 
 
 def count_irreducible_factors(f: Poly, seed: int) -> tuple[int, tuple[int, ...]]:

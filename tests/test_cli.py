@@ -180,6 +180,47 @@ class TestScanVerify:
         assert code == 2
 
 
+BAD_COUNTS = [
+    ("detlemma", "-p", "13", "-l", "2", "-n", "-1"),
+    ("detlemma", "-p", "13", "-l", "2", "-n", "0"),
+    ("detlemma", "-p", "13", "-l", "2", "--trials", "-3"),
+    ("scan", "-p", "13", "-l", "2", "--jobs", "0"),
+    ("scan", "-p", "13", "-l", "2", "--jobs", "-2"),
+    ("scan", "-p", "13", "-l", "2", "--jobs", "two"),
+]
+
+
+class TestCounts:
+    @pytest.mark.parametrize("argv", BAD_COUNTS)
+    def test_count_below_one_exit_2(self, capsys, argv):
+        # a count below 1 is a usage error, not a vacuous or failed run
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"expected a positive integer, got {argv[-1]!r}" in errors[0]
+        assert "Traceback" not in captured.err
+
+    def test_count_below_one_in_job_file(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text(
+            "command=detlemma p=13 l=2 n=-1\n"
+            "command=detlemma p=13 l=2 trials=0\n"
+            "command=scan p=13 l=2 jobs=-2\n"
+            "command=symbol p=7 l=3 a=2\n"
+        )
+        code = main(["--job-file", str(jobs)])
+        captured = capsys.readouterr()
+        assert code == 2
+        for lineno in (1, 2, 3):
+            assert f"job line {lineno}: invalid arguments" in captured.err
+        assert captured.err.count("expected a positive integer") == 3
+        assert "Traceback" not in captured.err
+        assert captured.out == "p,ell,a,seed,symbol\n7,3,2,271828,2\n"
+
+
 class TestOutputs:
     def test_output_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HEISSPLIT_OUTPUT_DIR", str(tmp_path))

@@ -24,7 +24,6 @@ from heissplit import (
     binomial_roots,
     build_extension,
     epsilon_value,
-    factor_binomial,
     is_prime,
     lth_root,
     make_context,
@@ -33,6 +32,7 @@ from heissplit import (
     primitive_root,
 )
 from heissplit.finite_field import _ell_sylow
+from heissplit.splitting_oracle import binomial_factors
 from heissplit.polynomial import Poly
 from reference_factor import is_irreducible, poly_x, pow_mod
 
@@ -566,7 +566,7 @@ class TestFrobeniusNormPow:
         with pytest.raises(DivisibilityError):
             binomial_roots(fld, 3, c)
         with pytest.raises(DivisibilityError):
-            factor_binomial(fld, 3, c)
+            binomial_factors(fld, 3, c)
 
 
 class TestPrimeFieldOps:

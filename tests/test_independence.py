@@ -4,7 +4,9 @@ randomness.
 ``splitting_oracle``, ``polynomial`` and ``finite_field`` must not reach
 ``heis_arith``, neither directly nor through another package module nor
 through the package ``__init__`` (which re-exports ``heis_arith``).
-``finite_field``, the base layer, imports no package module but ``errors``.
+``finite_field``, the base layer, imports no package module but ``errors``,
+and ``splitting_oracle`` reaches no package module but those two: it works
+in roots and degrees, with no polynomial type.
 The prediction and the oracle (``heis_arith``, ``splitting_oracle``,
 ``polynomial``, ``finite_field``, and every package module they reach)
 import neither ``random`` nor ``heissplit.seeds``.  The checks read the
@@ -98,6 +100,11 @@ def test_finite_field_imports_only_errors():
     assert package_imports(read_module("finite_field")) == {"errors"}
 
 
+def test_oracle_reaches_only_errors_and_finite_field():
+    seen = reachable(["splitting_oracle"], read_module) - {"splitting_oracle"}
+    assert seen == {"errors", "finite_field"}
+
+
 def test_prediction_and_oracle_use_no_randomness():
     # the package __init__ imports seeds, so reaching it is a leak too
     seen = reachable(DETERMINISTIC_MODULES, read_module, stop={"__init__"})
@@ -151,20 +158,20 @@ def test_guard_follows_other_modules():
 
 # Every public name of the package, sorted: a change to the API shows here.
 PUBLIC_NAMES = [
-    "ClassHistogram", "Context", "DEFAULT_SEED", "DegenerateSpecializationError",
-    "DegenerateValueError", "DivisibilityError", "ExpansionTooLargeError",
-    "ExtField", "Factorization", "FrobPrediction", "HeisElem", "HeisSplitError",
-    "MalformedSpecError", "MixedModulusError", "NoRootOfUnityError",
-    "NotPrimeError", "NotResidueError", "PackedPoly", "Poly",
-    "PolynomialityViolationError", "PrimeField", "PrimeOutOfRangeError",
-    "ScanRecord", "ScanResult", "SplitReport", "SymbolNotTrivialError",
-    "UnsupportedEllError", "WrongEllError", "ZeroArgumentError", "a2_value",
-    "a_ell_value", "a_poly_eval", "admissible_values", "binomial",
-    "binomial_roots", "build_extension", "chebotarev_stats", "check_block_det",
-    "class_label", "classify_a2", "conjugacy_classes", "derive_seed",
-    "discriminant_ratio_check", "element_order", "epsilon_value",
-    "expand_a_poly", "factor_binomial", "frobenius_prediction", "identity",
-    "is_prime", "lth_root", "make_context", "power_residue_symbol",
+    "ClassHistogram", "Context", "DEFAULT_SEED",
+    "DegenerateSpecializationError", "DegenerateValueError",
+    "DivisibilityError", "ExpansionTooLargeError", "ExtField",
+    "FrobPrediction", "HeisElem", "HeisSplitError", "MalformedSpecError",
+    "MixedModulusError", "NoRootOfUnityError", "NotPrimeError",
+    "NotResidueError", "PackedPoly", "Poly", "PolynomialityViolationError",
+    "PrimeField", "PrimeOutOfRangeError", "ScanRecord", "ScanResult",
+    "SplitReport", "SymbolNotTrivialError", "UnsupportedEllError",
+    "WrongEllError", "ZeroArgumentError", "a2_value", "a_ell_value",
+    "a_poly_eval", "admissible_values", "binomial_roots", "build_extension",
+    "chebotarev_stats", "check_block_det", "class_label", "classify_a2",
+    "conjugacy_classes", "derive_seed", "discriminant_ratio_check",
+    "element_order", "epsilon_value", "expand_a_poly", "frobenius_prediction",
+    "identity", "is_prime", "lth_root", "make_context", "power_residue_symbol",
     "prime_field", "primitive_root", "split_K", "split_R", "split_R2_curve",
     "verify_theorems_scan",
 ]

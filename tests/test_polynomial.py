@@ -1,5 +1,5 @@
-"""Polynomial arithmetic, the binomial factorization engine, and the
-generic reference engine it is held to."""
+"""Polynomial arithmetic, the oracle's binomial factors, and the generic
+reference engine they are held to."""
 
 import random
 from math import comb
@@ -15,18 +15,19 @@ from heissplit import (
     PackedPoly,
     Poly,
     ZeroArgumentError,
-    binomial,
     binomial_roots,
     build_extension,
-    factor_binomial,
     make_context,
-    polynomial,
     power_residue_symbol,
     prime_field,
+    splitting_oracle,
 )
+from heissplit.splitting_oracle import binomial_factors
 from reference_factor import (
     NotSquarefreeError,
     ZeroPolynomialError,
+    binomial,
+    binomial_pairs,
     count_irreducible_factors,
     factor,
     is_irreducible,
@@ -307,7 +308,7 @@ class TestFactor:
 
 
 class TestFactorBinomial:
-    """The oracle's binomial engine against the generic engine."""
+    """The oracle's binomial factors against the generic engine."""
 
     @pytest.mark.parametrize("p,ell", [(13, 2), (7, 3), (11, 5), (29, 7)])
     @pytest.mark.parametrize("m", [1, 2, "ell"])
@@ -327,9 +328,9 @@ class TestFactorBinomial:
         for c in cs:
             if c == fld.zero:
                 continue
-            fac = factor_binomial(fld, ell, c)
-            assert fac == factor(binomial(fld, ell, c), seed=rng.randrange(2**32))
-            shapes.add(len(fac))
+            pairs = binomial_factors(fld, ell, c)
+            assert pairs == binomial_pairs(fld, ell, c, seed=rng.randrange(2**32))
+            shapes.add(len(pairs))
         assert shapes == {1, ell}
 
     @pytest.mark.parametrize("p,m,ell", [(17, 1, 2), (3, 2, 2), (19, 1, 3), (109, 1, 3)])
@@ -341,7 +342,7 @@ class TestFactorBinomial:
         cs = range(1, p) if m == 1 else [fld.sample(rng) for _ in range(12)]
         for c in cs:
             if c != fld.zero:
-                assert factor_binomial(fld, ell, c) == factor(binomial(fld, ell, c), seed=fld.elem_key(c))
+                assert binomial_factors(fld, ell, c) == binomial_pairs(fld, ell, c, seed=fld.elem_key(c))
 
     @pytest.mark.parametrize("p,ell", [(13, 2), (7, 3), (11, 5), (29, 7)])
     def test_roots_equal_roots_in_field(self, p, ell):
@@ -358,31 +359,47 @@ class TestFactorBinomial:
 
     def test_rejects_ell_not_dividing_q_minus_1(self):
         with pytest.raises(DivisibilityError):
-            factor_binomial(F7, 5, 3)
+            binomial_factors(F7, 5, 3)
         with pytest.raises(DivisibilityError):
-            factor_binomial(build_extension(5, 2), 5, (1, 1))
+            binomial_factors(build_extension(5, 2), 5, (1, 1))
         with pytest.raises(DivisibilityError):
             binomial_roots(F5, 3, 2)
 
     def test_rejects_zero_constant(self):
         with pytest.raises(ZeroArgumentError):
-            factor_binomial(F7, 3, 0)
+            binomial_factors(F7, 3, 0)
         ext = build_extension(7, 3)
         with pytest.raises(ZeroArgumentError):
             binomial_roots(ext, 3, ext.zero)
 
     def test_rejects_composite_ell(self):
         with pytest.raises(NotPrimeError):
-            factor_binomial(prime_field(13), 4, 3)
+            binomial_factors(prime_field(13), 4, 3)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_abel_certificate_fires(self, monkeypatch, m):
         # with its roots withheld, x^2 - 4 = (x - 2)(x + 2) reaches the
         # irreducible branch, whose certificate must refuse it
         fld = build_extension(13, m)
-        monkeypatch.setattr(polynomial, "binomial_roots", lambda *args: ())
+        monkeypatch.setattr(splitting_oracle, "binomial_roots", lambda *args: ())
         with pytest.raises(AssertionError, match="c is not an ell-th power"):
-            factor_binomial(fld, 2, fld.embed(4))
+            binomial_factors(fld, 2, fld.embed(4))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_remultiplication_certificate_fires(self, monkeypatch, m):
+        # x^2 - 4 has the roots 2 and -2; with one of them swapped for the
+        # non-root 3 the roots no longer re-multiply to the binomial, and
+        # the certificate must refuse them
+        fld = build_extension(13, m)
+        c, non_root = fld.embed(4), fld.embed(3)
+        assert fld.pow(non_root, 2) != c
+        wrong = binomial_roots(fld, 2, c)[:-1] + (non_root,)
+        monkeypatch.setattr(splitting_oracle, "binomial_roots", lambda *args: wrong)
+        with pytest.raises(
+            AssertionError,
+            match=r"^certificate: the factors re-multiply to x\^ell - c$",
+        ):
+            binomial_factors(fld, 2, fld.embed(4))
 
 
 class TestSquarefree:

@@ -10,8 +10,6 @@ from heissplit import (
     DegenerateValueError,
     SymbolNotTrivialError,
     WrongEllError,
-    binomial,
-    factor_binomial,
     is_prime,
     make_context,
     power_residue_symbol,
@@ -21,7 +19,7 @@ from heissplit import (
     splitting_oracle,
 )
 from heissplit.verification import admissible_values, scan_point
-from reference_factor import factor, is_irreducible, roots_in_field
+from reference_factor import binomial, binomial_pairs, is_irreducible, roots_in_field
 
 C13 = make_context(13, 2)
 C7 = make_context(7, 3)
@@ -182,19 +180,20 @@ def test_scan_points_match_golden_digest(ell):
 
 class TestEngines:
     def test_irreducible_binomials_pass_ben_or(self, monkeypatch):
-        # factor_binomial certifies an irreducible binomial by Abel's
+        # binomial_factors certifies an irreducible binomial by Abel's
         # criterion, one field power; Ben-Or's test, separate code, must
         # agree on every binomial that these scans declare irreducible
         declared = []
+        binomial_factors = splitting_oracle.binomial_factors
 
         def recording(fld, ell, c):
-            fac = factor_binomial(fld, ell, c)
-            if len(fac) == 1:
+            pairs = binomial_factors(fld, ell, c)
+            if len(pairs) == 1:
                 declared.append((fld, ell, c))
-            return fac
+            return pairs
 
         splitting_oracle._k_primes.cache_clear()
-        monkeypatch.setattr(splitting_oracle, "factor_binomial", recording)
+        monkeypatch.setattr(splitting_oracle, "binomial_factors", recording)
         for ell, primes in SCAN_GRIDS.items():
             for p in primes:
                 ctx = make_context(p, ell)
@@ -221,8 +220,8 @@ class TestEngines:
         with monkeypatch.context() as patch:
             patch.setattr(
                 splitting_oracle,
-                "factor_binomial",
-                lambda fld, n, c: factor(binomial(fld, n, c), seed=p * 1000 + n),
+                "binomial_factors",
+                lambda fld, n, c: binomial_pairs(fld, n, c, seed=p * 1000 + n),
             )
             patch.setattr(
                 splitting_oracle,
