@@ -13,10 +13,10 @@ field's element representation (ints for F_p, tuples for F_{p^m}).
 Over F_p, two kernels and one packed form carry the criterion polynomial
 of ``heis_arith`` (degree up to about (ell - 1) p / 2).  ``__mul__`` stays
 schoolbook: the criterion's other products have degree below ell^2 / 2,
-where packing costs more than it saves.  ``__pow__`` expands a linear base by the
-binomial theorem with one modular inverse, and powers every other base by
-square-and-multiply in which each product is one big-int multiply of
-Kronecker-packed coefficients (Harvey, "Faster polynomial multiplication
+where packing costs more than it saves.  ``__pow__`` expands a linear base
+by the binomial theorem with one modular inverse, and powers every other
+base by square-and-multiply in which each product is one big-int multiply
+of Kronecker-packed coefficients (Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", J. Symb. Comp. 2009).
 ``PackedPoly`` keeps a polynomial as about sqrt(n) packed rows and
 evaluates it with a baby-step/giant-step split (Paterson-Stockmeyer, SIAM

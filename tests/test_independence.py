@@ -158,20 +158,20 @@ def test_guard_follows_other_modules():
 
 # Every public name of the package, sorted: a change to the API shows here.
 PUBLIC_NAMES = [
-    "ClassHistogram", "Context", "DEFAULT_SEED",
-    "DegenerateSpecializationError", "DegenerateValueError",
-    "DivisibilityError", "ExpansionTooLargeError", "ExtField",
-    "FrobPrediction", "HeisElem", "HeisSplitError", "MalformedSpecError",
-    "MixedModulusError", "NoRootOfUnityError", "NotPrimeError",
-    "NotResidueError", "PackedPoly", "Poly", "PolynomialityViolationError",
-    "PrimeField", "PrimeOutOfRangeError", "ScanRecord", "ScanResult",
-    "SplitReport", "SymbolNotTrivialError", "UnsupportedEllError",
-    "WrongEllError", "ZeroArgumentError", "a2_value", "a_ell_value",
-    "a_poly_eval", "admissible_values", "binomial_roots", "build_extension",
-    "chebotarev_stats", "check_block_det", "class_label", "classify_a2",
-    "conjugacy_classes", "derive_seed", "discriminant_ratio_check",
-    "element_order", "epsilon_value", "expand_a_poly", "frobenius_prediction",
-    "identity", "is_prime", "lth_root", "make_context", "power_residue_symbol",
+    "ClassHistogram", "Context", "DEFAULT_SEED", "DegenerateSpecializationError",
+    "DegenerateValueError", "DivisibilityError", "ExpansionTooLargeError",
+    "ExtField", "FrobPrediction", "HeisElem", "HeisSplitError",
+    "MalformedSpecError", "MixedModulusError", "NoRootOfUnityError",
+    "NotPrimeError", "NotResidueError", "PackedPoly", "Poly",
+    "PolynomialityViolationError", "PrimeField", "PrimeOutOfRangeError",
+    "ScanRecord", "ScanResult", "SplitReport", "SymbolNotTrivialError",
+    "UnsupportedEllError", "WrongEllError", "ZeroArgumentError", "a2_value",
+    "a_ell_value", "a_poly_eval", "admissible_values",
+    "binomial_roots", "build_extension", "chebotarev_stats", "check_block_det",
+    "class_label", "classify_a2", "conjugacy_classes", "derive_seed",
+    "discriminant_ratio_check", "element_order", "epsilon_value",
+    "expand_a_poly", "frobenius_prediction", "identity",
+    "is_prime", "lth_root", "make_context", "power_residue_symbol",
     "prime_field", "primitive_root", "split_K", "split_R", "split_R2_curve",
     "verify_theorems_scan",
 ]
