@@ -15,6 +15,7 @@ from .errors import (
     MalformedSpecError,
     MixedModulusError,
     NoRootOfUnityError,
+    NonPositiveCountError,
     NotPrimeError,
     NotResidueError,
     PolynomialityViolationError,

@@ -15,7 +15,6 @@ order, then by a.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from pathlib import Path
@@ -106,20 +105,19 @@ def _emit(rows: list[dict], columns, fmt: str, output: str | None) -> None:
         path.write_text(text)
 
 
-def _scan_worker(task: tuple[int, int, int, int]) -> dict:
-    p, ell, a, seed = task
-    ctx = make_context(p, ell)
-    return record_to_row(p, ell, seed, scan_point(ctx, a, seed))
+def _scan_worker(task: tuple[Context, int, int]) -> dict:
+    ctx, a, seed = task
+    return record_to_row(ctx.p, ctx.ell, seed, scan_point(ctx, a, seed))
 
 
 def _parallel_scan(contexts: list[Context], seed: int, jobs: int) -> list[dict]:
-    tasks = [
-        (ctx.p, ctx.ell, a, seed) for ctx in contexts for a in admissible_values(ctx)
-    ]
+    tasks = [(ctx, a, seed) for ctx in contexts for a in admissible_values(ctx)]
     # the pool starts all its workers at once, so never more than the CPUs
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [_scan_worker(t) for t in tasks]
+    import concurrent.futures  # only a parallel scan pays for the pool
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_scan_worker, tasks, chunksize=8))
 

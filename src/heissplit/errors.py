@@ -43,6 +43,11 @@ class DegenerateValueError(HeisSplitError):
     """a lies in the excluded set ({0, 1}, plus 1/2 when ell = 2)."""
 
 
+class NonPositiveCountError(HeisSplitError):
+    """A size or count that must be at least 1 (a block size, a number of
+    trials) is below 1."""
+
+
 class NotResidueError(HeisSplitError):
     """a has no ell-th root in F_p where one is required."""
 

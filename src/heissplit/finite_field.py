@@ -29,8 +29,14 @@ the operands are canonical (m entries in [0, p)); every operation here
 returns canonical elements.  ``epsilon_value`` is the one definition of the
 unit product eps that defines the cover, shared by the criterion and the
 oracle.  ell-th roots, ``lth_root`` included, come from one certified
-algorithm: ``binomial_roots`` (Adleman-Manders-Miller, FOCS 1977), checked
-by r^ell = c.
+algorithm: ``binomial_roots`` (Adleman-Manders-Miller, FOCS 1977, with a
+Pohlig-Hellman digit loop, IEEE Trans. Inf. Theory 1978), checked by
+r^ell = c.  Everything in it that depends only on the field, the ell-Sylow
+generator g, the digit map zeta^d -> d and the step table g^(-d ell^k),
+is built once per field by ``_ell_sylow``.  For ell^s the order of the
+Sylow subgroup, a call costs one power c^u, (s-1)(s-2)/2 + 2 ell-th powers
+(two of them r^ell, once for the Sylow error and once for the certificate)
+and at most 2s - 2 products before the ell - 1 that list the other roots.
 """
 
 from __future__ import annotations
@@ -491,9 +497,11 @@ def _element_with_key(fld, key: int):
 
 @lru_cache(maxsize=64)
 def _ell_sylow(fld, ell: int) -> tuple:
-    """(s, t, g, zeta) with q - 1 = ell^s * t, ell not dividing t, g = z^t a
-    generator of the ell-Sylow subgroup of F_q^*, and zeta = g^(ell^(s-1))
-    of order exactly ell.
+    """(s, t, g, zeta, digit, steps), built once per field, with
+    q - 1 = ell^s * t, ell not dividing t, g = z^t a generator of the
+    ell-Sylow subgroup of F_q^*, and zeta = g^(ell^(s-1)) of order exactly
+    ell.  The tables serve ``binomial_roots``: ``digit`` maps zeta^d to d,
+    and ``steps[k][d]`` = g^(-d * ell^k) for k < s and d < ell.
 
     z is the first element, in key order, that is not an ell-th power, tested
     through its norm as in ``binomial_roots``.  Over an extension the search
@@ -509,9 +517,21 @@ def _ell_sylow(fld, ell: int) -> tuple:
     while True:
         z = _element_with_key(fld, key)
         if pow(fld.norm(z), (p - 1) // ell, p) != 1:
-            g = fld.pow(z, t)
-            return s, t, g, fld.pow(g, ell ** (s - 1))
+            break
         key += 1
+    g = fld.pow(z, t)
+    hs = [fld.inv(g)]  # h_k = g^(-ell^k)
+    while len(hs) < s:
+        hs.append(fld.pow(hs[-1], ell))
+    steps = []
+    for h in hs:
+        row = [fld.one]
+        for _ in range(ell - 1):
+            row.append(fld.mul(row[-1], h))
+        steps.append(tuple(row))
+    # the last row is zeta^(-d), d < ell
+    digit = {w: -d % ell for d, w in enumerate(steps[-1])}
+    return s, t, g, steps[-1][-1], digit, tuple(steps)
 
 
 def binomial_roots(fld, ell: int, c) -> tuple:
@@ -521,11 +541,20 @@ def binomial_roots(fld, ell: int, c) -> tuple:
     (gcd with x^q - x, then equal-degree splitting).  Requires ell prime,
     ell | p - 1 (not merely ell | q - 1; every caller has ell | p - 1) and
     c != 0.  Then c^((q-1)/ell) = N(c)^((p-1)/ell) with N the norm to F_p,
-    so whether c is an ell-th power is decided in F_p.  With
-    q - 1 = ell^s * t, r = c^(ell^-1 mod t) satisfies r^ell = c * e for some
-    e in the ell-Sylow subgroup; a Pohlig-Hellman logarithm of e to the base
-    g corrects r inside that subgroup.  The other roots are r * zeta^i with
-    zeta = g^(ell^(s-1)).
+    so whether c is an ell-th power is decided in F_p.
+
+    Adleman-Manders-Miller with a Pohlig-Hellman digit loop, on the tables
+    of ``_ell_sylow``.  With q - 1 = ell^s * t, r = c^u for u = ell^-1 mod t
+    satisfies r^ell = c * e for some e in the ell-Sylow subgroup, and
+    e = g^n.  Since e is an ell-th power, the digit d_0 of n in base ell is
+    0.  For k = 1 .. s-1, w = g^(n - (d_0 + ... + d_{k-1} ell^(k-1))) raised
+    to ell^(s-1-k) is zeta^(d_k), read off the digit table; then
+    r <- r * g^(-d_k ell^(k-1)) and, before the last digit,
+    w <- w * g^(-d_k ell^k), two table entries, which leaves
+    r = c^u * g^(-n/ell) with r^ell = c.  The other roots are r * zeta^i.
+    Per call: one c^u; r^ell, one inverse and one product for e;
+    (s-1)(s-2)/2 ell-th powers and at most 2s - 3 table products in the
+    digit loop; and r^ell once more for the certificate.
     """
     p = fld.p
     if not is_prime(ell):
@@ -536,23 +565,19 @@ def binomial_roots(fld, ell: int, c) -> tuple:
         raise ZeroArgumentError("x^ell - 0 is not squarefree")
     if pow(fld.norm(c), (p - 1) // ell, p) != 1:
         return ()
-    s, t, g, zeta = _ell_sylow(fld, ell)
-    sylow = ell**s
+    s, t, _, zeta, digit, steps = _ell_sylow(fld, ell)
     r = fld.pow(c, pow(ell, -1, t))
-    e = fld.mul(fld.pow(r, ell), fld.inv(c))
-    if e != fld.one:
-        # Pohlig-Hellman: n = log_g(e), one base-ell digit per step
-        digit = {}
-        w = fld.one
-        for d in range(ell):
-            digit[w] = d
-            w = fld.mul(w, zeta)
-        n = 0
-        for k in range(s):
-            y = fld.mul(e, fld.pow(g, sylow - n))
-            n += digit[fld.pow(y, ell ** (s - 1 - k))] * ell**k
-        # e is an ell-th power, so ell | n and g^(-n/ell) fixes r
-        r = fld.mul(r, fld.pow(g, sylow - n // ell))
+    w = fld.mul(fld.pow(r, ell), fld.inv(c))
+    if w != fld.one:
+        for k in range(1, s):
+            y = w
+            for _ in range(s - 1 - k):
+                y = fld.pow(y, ell)
+            d = digit[y]
+            if d:
+                r = fld.mul(r, steps[k - 1][d])
+                if k < s - 1:  # the last digit needs no update of w
+                    w = fld.mul(w, steps[k][d])
     assert fld.pow(r, ell) == c, "certificate: r^ell == c"
     roots = [r]
     for _ in range(ell - 1):

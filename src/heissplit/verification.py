@@ -21,6 +21,7 @@ from itertools import product
 from .errors import (
     DegenerateValueError,
     NoRootOfUnityError,
+    NonPositiveCountError,
     UnsupportedEllError,
 )
 from .finite_field import Context, binomial_roots, build_extension
@@ -222,8 +223,14 @@ def check_block_det(field, n: int, ell: int, seed: int, trials: int) -> BlockDet
     n x n blocks A_0 .. A_{ell-1}; the right-hand side multiplies the block
     determinants by the n-th power of the Vandermonde determinant of the
     ell-th roots of unity.  The left side is computed by a dense exact
-    determinant, making this an independent oracle for the identity.
+    determinant, making this an independent oracle for the identity.  A
+    block size n or a trial count below 1 raises ``NonPositiveCountError``:
+    n = 0 and no trials would pass vacuously, and n < 0 is no matrix.
     """
+    if n < 1 or trials < 1:
+        raise NonPositiveCountError(
+            f"block size n = {n} and trials = {trials} must both be >= 1"
+        )
     rng = random.Random(derive_seed(seed, "blockdet", n, ell))
     zeta = _element_of_order(field, ell)
     vdm = vandermonde_unit(field, zeta, ell)

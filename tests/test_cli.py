@@ -1,6 +1,10 @@
 """CLI surface: subcommands, formats, exit codes, job files, parallelism."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -292,13 +296,35 @@ class TestJobs:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         code, clamped, _ = run(capsys, "scan", "-p", "13", "-l", "2", "--jobs", "100000")
         assert code == 0 and workers == [3]
         code, serial, _ = run(capsys, "scan", "-p", "13", "-l", "2")
         assert code == 0 and workers == [3]
         assert clamped == serial
+
+
+    def test_serial_scan_leaves_the_pool_unimported(self):
+        # a fresh interpreter: a serial scan must not pay for the pool module
+        code = (
+            "import contextlib, io, sys\n"
+            "from heissplit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['scan', '-p', '13', '-l', '2']) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestDeterminism:

@@ -550,12 +550,18 @@ class TestFrobeniusNormPow:
     )
     def test_sylow_zeta_has_order_exactly_ell(self, p, m, ell):
         fld = build_extension(p, m)
-        s, t, g, zeta = _ell_sylow(fld, ell)
+        s, t, g, zeta, digit, steps = _ell_sylow(fld, ell)
         assert fld.order - 1 == ell**s * t and t % ell
         assert zeta == reference_pow(fld, g, ell ** (s - 1))
         assert zeta != fld.one and reference_pow(fld, zeta, ell) == fld.one
         # g generates the ell-Sylow subgroup: its order is exactly ell^s
         assert reference_pow(fld, g, ell ** s) == fld.one
+        # the tables: zeta^d -> d, and steps[k][d] = g^(-d ell^k)
+        assert digit == {reference_pow(fld, zeta, d): d for d in range(ell)}
+        assert len(steps) == s and all(len(row) == ell for row in steps)
+        for k, row in enumerate(steps):
+            for d, entry in enumerate(row):
+                assert entry == reference_pow(fld, g, -d * ell**k % ell**s), (k, d)
 
     @pytest.mark.parametrize("p,m", [(5, 2), (2, 2)])
     def test_binomials_need_ell_dividing_p_minus_1(self, p, m):

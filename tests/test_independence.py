@@ -162,7 +162,7 @@ PUBLIC_NAMES = [
     "DegenerateValueError", "DivisibilityError", "ExpansionTooLargeError",
     "ExtField", "FrobPrediction", "HeisElem", "HeisSplitError",
     "MalformedSpecError", "MixedModulusError", "NoRootOfUnityError",
-    "NotPrimeError", "NotResidueError", "PackedPoly", "Poly",
+    "NonPositiveCountError", "NotPrimeError", "NotResidueError", "PackedPoly", "Poly",
     "PolynomialityViolationError", "PrimeField", "PrimeOutOfRangeError",
     "ScanRecord", "ScanResult", "SplitReport", "SymbolNotTrivialError",
     "UnsupportedEllError", "WrongEllError", "ZeroArgumentError", "a2_value",

@@ -17,6 +17,7 @@ from heissplit import (
     ZeroArgumentError,
     binomial_roots,
     build_extension,
+    finite_field,
     make_context,
     power_residue_symbol,
     prime_field,
@@ -333,13 +334,25 @@ class TestFactorBinomial:
             shapes.add(len(pairs))
         assert shapes == {1, ell}
 
-    @pytest.mark.parametrize("p,m,ell", [(17, 1, 2), (3, 2, 2), (19, 1, 3), (109, 1, 3)])
+    @pytest.mark.parametrize(
+        "p,m,ell",
+        [(17, 1, 2), (3, 2, 2), (19, 1, 3), (109, 1, 3), (257, 1, 2), (257, 2, 2),
+         (251, 1, 5), (109, 3, 3)],
+    )
     def test_deep_sylow_subgroups(self, p, m, ell):
-        # q - 1 = ell^s * t with s >= 2, and t = 1 for F_17 and F_9: the
-        # root needs the Pohlig-Hellman correction
+        # q - 1 = ell^s * t with s >= 2 (s = 8 and 9 for F_257 and F_{257^2},
+        # 3 for F_251 at ell = 5, 4 for F_{109^3}), and t = 1 for F_17, F_9
+        # and F_257: the root needs the Pohlig-Hellman correction, which
+        # walks every row of the step table
         fld = build_extension(p, m)
         rng = random.Random(p)
-        cs = range(1, p) if m == 1 else [fld.sample(rng) for _ in range(12)]
+        if m == 1:
+            cs = range(1, p)
+        else:
+            # ell-th powers reach the correction; the rest are non-powers
+            # or powers alike
+            xs = [fld.sample(rng) for _ in range(24)]
+            cs = xs + [fld.pow(x, ell) for x in xs]
         for c in cs:
             if c != fld.zero:
                 assert binomial_factors(fld, ell, c) == binomial_pairs(fld, ell, c, seed=fld.elem_key(c))
@@ -384,6 +397,22 @@ class TestFactorBinomial:
         monkeypatch.setattr(splitting_oracle, "binomial_roots", lambda *args: ())
         with pytest.raises(AssertionError, match="c is not an ell-th power"):
             binomial_factors(fld, 2, fld.embed(4))
+
+    def test_root_certificate_fires_on_a_corrupt_step_table(self, monkeypatch):
+        # F_17: q - 1 = 2^4, t = 1, g = 3.  For c = 9, r starts at c^0 = 1 and
+        # e = 1/c = 3^14, whose base-2 digits 0, 1, 1, 1 put steps[0][1] =
+        # g^-1 into the correction of r; with that one entry doubled the
+        # root is wrong and the certificate must refuse it
+        fld = prime_field(17)
+        s, t, g, zeta, digit, steps = finite_field._ell_sylow(fld, 2)
+        assert (s, t, g) == (4, 1, 3) and steps[0][1] == fld.inv(g)
+        assert binomial_roots(fld, 2, 9) == (3, 14)
+        bad = (steps[0][:1] + (fld.mul(steps[0][1], 2),),) + steps[1:]
+        monkeypatch.setattr(
+            finite_field, "_ell_sylow", lambda *args: (s, t, g, zeta, digit, bad)
+        )
+        with pytest.raises(AssertionError, match=r"^certificate: r\^ell == c$"):
+            binomial_roots(fld, 2, 9)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_remultiplication_certificate_fires(self, monkeypatch, m):

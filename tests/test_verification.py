@@ -7,6 +7,7 @@ import pytest
 
 from heissplit import (
     NoRootOfUnityError,
+    NonPositiveCountError,
     UnsupportedEllError,
     chebotarev_stats,
     check_block_det,
@@ -139,6 +140,13 @@ class TestBlockDet:
     def test_randomized_trials(self, p, ell, n):
         report = check_block_det(prime_field(p), n, ell, seed=4, trials=40)
         assert report.passed, report.failures[:2]
+
+    @pytest.mark.parametrize("n,trials", [(-1, 5), (0, 5), (2, 0), (2, -3)])
+    def test_rejects_counts_below_one(self, n, trials):
+        # n = -1 once reported a false failure (the empty determinant is 1),
+        # and n = 0 or trials <= 0 a vacuous pass
+        with pytest.raises(NonPositiveCountError, match="must both be >= 1"):
+            check_block_det(prime_field(13), n, 2, seed=1, trials=trials)
 
     def test_missing_root_of_unity(self):
         with pytest.raises(NoRootOfUnityError):
