@@ -101,8 +101,11 @@ def _emit(rows: list[dict], columns, fmt: str, output: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise MalformedSpecError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _scan_worker(task: tuple[Context, int, int]) -> dict:
@@ -477,7 +480,7 @@ def _run_job_file(path: str) -> int:
     worst = EXIT_OK
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read job file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for lineno, raw in enumerate(lines, start=1):

@@ -74,5 +74,6 @@ class SymbolNotTrivialError(HeisSplitError):
 
 
 class MalformedSpecError(HeisSplitError):
-    """A command-line list or range of primes that does not parse, or that
-    leaves no usable (p, ell) pair."""
+    """A command-line argument that cannot be used: a list or range of
+    primes that does not parse or leaves no usable (p, ell) pair, or an
+    output path that cannot be written."""

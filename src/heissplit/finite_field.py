@@ -33,10 +33,12 @@ algorithm: ``binomial_roots`` (Adleman-Manders-Miller, FOCS 1977, with a
 Pohlig-Hellman digit loop, IEEE Trans. Inf. Theory 1978), checked by
 r^ell = c.  Everything in it that depends only on the field, the ell-Sylow
 generator g, the digit map zeta^d -> d and the step table g^(-d ell^k),
-is built once per field by ``_ell_sylow``.  For ell^s the order of the
-Sylow subgroup, a call costs one power c^u, (s-1)(s-2)/2 + 2 ell-th powers
-(two of them r^ell, once for the Sylow error and once for the certificate)
-and at most 2s - 2 products before the ell - 1 that list the other roots.
+is built once per field by ``_ell_sylow``, which certifies that zeta has
+order ell, so the roots r * zeta^i are all ell roots.  For ell^s the order
+of the Sylow subgroup, a call costs one power c^u, (s-1)(s-2)/2 + 2 ell-th
+powers (two of them r^ell, once for the Sylow error and once for the
+certificate) and at most 2s - 2 products before the ell - 1 that list the
+other roots.
 """
 
 from __future__ import annotations
@@ -499,9 +501,10 @@ def _element_with_key(fld, key: int):
 def _ell_sylow(fld, ell: int) -> tuple:
     """(s, t, g, zeta, digit, steps), built once per field, with
     q - 1 = ell^s * t, ell not dividing t, g = z^t a generator of the
-    ell-Sylow subgroup of F_q^*, and zeta = g^(ell^(s-1)) of order exactly
-    ell.  The tables serve ``binomial_roots``: ``digit`` maps zeta^d to d,
-    and ``steps[k][d]`` = g^(-d * ell^k) for k < s and d < ell.
+    ell-Sylow subgroup of F_q^*, and zeta = g^(ell^(s-1)), certified to
+    have order exactly ell (zeta != 1, zeta^ell = 1).  The tables serve
+    ``binomial_roots``: ``digit`` maps zeta^d to d, and ``steps[k][d]`` =
+    g^(-d * ell^k) for k < s and d < ell.
 
     z is the first element, in key order, that is not an ell-th power, tested
     through its norm as in ``binomial_roots``.  Over an extension the search
@@ -530,8 +533,10 @@ def _ell_sylow(fld, ell: int) -> tuple:
             row.append(fld.mul(row[-1], h))
         steps.append(tuple(row))
     # the last row is zeta^(-d), d < ell
+    zeta = steps[-1][-1]
+    assert zeta != fld.one and fld.pow(zeta, ell) == fld.one, "certificate: zeta has order ell"
     digit = {w: -d % ell for d, w in enumerate(steps[-1])}
-    return s, t, g, steps[-1][-1], digit, tuple(steps)
+    return s, t, g, zeta, digit, tuple(steps)
 
 
 def binomial_roots(fld, ell: int, c) -> tuple:

@@ -238,10 +238,11 @@ def a_ell_value(ctx: Context, a: int) -> int:
     """A_ell(a) for ell >= 3 via eps_0(a)^((p-1)/ell) at the canonical root.
 
     Requires a to be an ell-th power residue.  When 1 - a is also a residue
-    the value is independent of the root choice and equals the average of
-    all shifted values; both facts are asserted.  (When 1 - a is a
-    non-residue the shifted powers differ by powers of zeta and only the
-    polynomial evaluation computes A_ell(a) itself.)
+    the value is independent of the root choice, hence the average of all
+    shifted values, and equals the polynomial's value; both facts are
+    asserted.  (When 1 - a is a non-residue the shifted powers differ by
+    powers of zeta and only the polynomial evaluation computes A_ell(a)
+    itself.)
     """
     if ctx.ell < 3:
         raise WrongEllError("a_ell_value requires ell >= 3")
@@ -252,7 +253,6 @@ def a_ell_value(ctx: Context, a: int) -> int:
     if power_residue_symbol(ctx, a) != 0:
         raise NotResidueError(f"{a} is not an ell-th power mod {p}")
     root = lth_root(ctx, a)
-    assert root is not None
     exp = ctx.cofactor
     shifted = [
         pow(epsilon_value(ctx, root, shift=n), exp, p) for n in range(ctx.ell)
@@ -261,7 +261,6 @@ def a_ell_value(ctx: Context, a: int) -> int:
     if power_residue_symbol(ctx, (1 - a) % p) == 0:
         # root choice cannot matter here: shifting the root by zeta shifts n
         assert all(v == val for v in shifted)
-        assert sum(shifted) * pow(ctx.ell, -1, p) % p == val
         assert val == a_poly_eval(ctx, a)
     return val
 
@@ -348,8 +347,7 @@ def frobenius_prediction(ctx: Context, a: int) -> FrobPrediction:
         elif val == p - 1 or val == 0 or case == A2_INV_ONE_MINUS_A:
             predicted = 4
             e_central = 1 if val == p - 1 else None
-        else:
-            assert case == A2_A_OVER_ONE_MINUS_A
+        else:  # case A2_A_OVER_ONE_MINUS_A, the one left
             predicted = 2
             e_central = None
     elif both_trivial:

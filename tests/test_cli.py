@@ -235,6 +235,24 @@ class TestOutputs:
         text = (tmp_path / "rows.csv").read_text()
         assert text.startswith("p,ell,a,")
 
+    def test_directory_as_output_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "frob", "-p", "13", "-l", "3", "-a", "5",
+                             "-o", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    def test_unwritable_output_does_not_stop_a_job_file(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text(
+            f"command=frob p=13 l=3 a=5 o={tmp_path}\n"
+            "command=symbol p=7 l=3 a=2\n"
+        )
+        code = main(["--job-file", str(jobs)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: cannot write {tmp_path}" in captured.err
+        assert captured.out == "p,ell,a,seed,symbol\n7,3,2,271828,2\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "scan", "-p", "13", "-l", "2",
                            "--format", "json", "--seed", "3")
@@ -268,6 +286,14 @@ class TestJobFile:
         captured = capsys.readouterr()
         assert code == 2
         assert "cannot nest" in captured.err
+
+    def test_job_file_not_utf8_exit_2(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_bytes(b"command=symbol p=7 l=3 a=\xff\n")
+        code = main(["--job-file", str(jobs)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("cannot read job file: ")
 
     def test_usage_error_line_does_not_stop_the_file(self, capsys, tmp_path):
         jobs = tmp_path / "jobs.txt"

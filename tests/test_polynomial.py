@@ -415,20 +415,14 @@ class TestFactorBinomial:
             binomial_roots(fld, 2, 9)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_remultiplication_certificate_fires(self, monkeypatch, m):
-        # x^2 - 4 has the roots 2 and -2; with one of them swapped for the
-        # non-root 3 the roots no longer re-multiply to the binomial, and
-        # the certificate must refuse them
+    def test_zeta_certificate_fires(self, monkeypatch, m):
+        # with every inverse read as one, the Sylow generator's powers
+        # g^(-ell^k) all collapse to one, so zeta = 1 and r * zeta^i would
+        # list one root ell times; the certificate must refuse that zeta
         fld = build_extension(13, m)
-        c, non_root = fld.embed(4), fld.embed(3)
-        assert fld.pow(non_root, 2) != c
-        wrong = binomial_roots(fld, 2, c)[:-1] + (non_root,)
-        monkeypatch.setattr(splitting_oracle, "binomial_roots", lambda *args: wrong)
-        with pytest.raises(
-            AssertionError,
-            match=r"^certificate: the factors re-multiply to x\^ell - c$",
-        ):
-            binomial_factors(fld, 2, fld.embed(4))
+        monkeypatch.setattr(type(fld), "inv", lambda self, a: self.one)
+        with pytest.raises(AssertionError, match=r"^certificate: zeta has order ell$"):
+            finite_field._ell_sylow.__wrapped__(fld, 2)
 
 
 class TestSquarefree:

@@ -1,6 +1,7 @@
 """The factorization oracle: counts, degrees, determinism, and the ell = 2
 curve-model cross-check."""
 
+import functools
 import hashlib
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 
 from heissplit import (
     DegenerateValueError,
+    Poly,
     SymbolNotTrivialError,
     WrongEllError,
     is_prime,
@@ -178,29 +180,35 @@ def test_scan_points_match_golden_digest(ell):
     assert digest.hexdigest() == GOLDEN_DIGESTS[ell]
 
 
-class TestEngines:
-    def test_irreducible_binomials_pass_ben_or(self, monkeypatch):
-        # binomial_factors certifies an irreducible binomial by Abel's
-        # criterion, one field power; Ben-Or's test, separate code, must
-        # agree on every binomial that these scans declare irreducible
-        declared = []
-        binomial_factors = splitting_oracle.binomial_factors
+@functools.cache
+def _scanned_binomials() -> dict:
+    """(field, ell, c) -> the pairs of binomial_factors, for every binomial
+    that the scans of SCAN_GRIDS factor."""
+    seen = {}
+    binomial_factors = splitting_oracle.binomial_factors
 
-        def recording(fld, ell, c):
-            pairs = binomial_factors(fld, ell, c)
-            if len(pairs) == 1:
-                declared.append((fld, ell, c))
-            return pairs
+    def recording(fld, ell, c):
+        seen[fld, ell, c] = binomial_factors(fld, ell, c)
+        return seen[fld, ell, c]
 
-        splitting_oracle._k_primes.cache_clear()
-        monkeypatch.setattr(splitting_oracle, "binomial_factors", recording)
+    splitting_oracle._k_primes.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting_oracle, "binomial_factors", recording)
         for ell, primes in SCAN_GRIDS.items():
             for p in primes:
                 ctx = make_context(p, ell)
                 for a in admissible_values(ctx):
                     scan_point(ctx, a, 1)
-        splitting_oracle._k_primes.cache_clear()
-        distinct = set(declared)
+    splitting_oracle._k_primes.cache_clear()
+    return seen
+
+
+class TestEngines:
+    def test_irreducible_binomials_pass_ben_or(self):
+        # binomial_factors certifies an irreducible binomial by Abel's
+        # criterion, one field power; Ben-Or's test, separate code, must
+        # agree on every binomial that these scans declare irreducible
+        distinct = [b for b, pairs in _scanned_binomials().items() if len(pairs) == 1]
         refuted = [b for b in distinct if not is_irreducible(binomial(*b))]
         assert refuted == []
         shapes = Counter((ell, fld.degree) for fld, ell, _c in distinct)
@@ -208,6 +216,21 @@ class TestEngines:
         # the z-binomials of order-4 Frobenius classes are irreducible
         # over F_{p^2}
         assert shapes[2, 2] > 0
+
+    def test_split_binomials_remultiply(self):
+        # binomial_factors certifies a split answer by r^ell = c and the
+        # order of zeta, not by a product; here the product of the x - r
+        # must give back x^ell - c for every binomial these scans split
+        split = {b: pairs for b, pairs in _scanned_binomials().items() if len(pairs) > 1}
+        for (fld, ell, c), pairs in split.items():
+            prod = Poly.one(fld)
+            for d, r in pairs:
+                assert d == 1
+                prod = prod * Poly(fld, (fld.neg(r), fld.one))
+            assert prod == binomial(fld, ell, c)
+        shapes = {(ell, fld.degree) for fld, ell, _c in split}
+        assert {ell for ell, _m in shapes} == set(SCAN_GRIDS)
+        assert {m for _ell, m in shapes} > {1}
 
     @pytest.mark.parametrize("p,ell", list(_generic_points()))
     def test_reports_equal_generic_engine(self, monkeypatch, p, ell):
