@@ -55,7 +55,6 @@ from .heisenberg import (
     element_order,
     identity,
 )
-from .polynomial import PackedPoly, Poly
 from .seeds import DEFAULT_SEED, derive_seed
 from .splitting_oracle import (
     SplitReport,

@@ -140,16 +140,9 @@ def _cmd_symbol(args) -> int:
 
 def _cmd_apoly(args) -> int:
     ctx = make_context(args.p, args.ell)
-    poly = expand_a_poly(ctx)
-    coeffs = list(poly.coeffs)
-    rows = [
-        {
-            "p": ctx.p,
-            "ell": ctx.ell,
-            "degree": poly.degree,
-            "coeffs": ";".join(str(c) for c in coeffs) if args.format == "csv" else coeffs,
-        }
-    ]
+    coeffs = list(expand_a_poly(ctx))
+    text = ";".join(map(str, coeffs)) if args.format == "csv" else coeffs
+    rows = [{"p": ctx.p, "ell": ctx.ell, "degree": len(coeffs) - 1, "coeffs": text}]
     _emit(rows, ("p", "ell", "degree", "coeffs"), args.format, args.output)
     return EXIT_OK
 
@@ -476,7 +469,7 @@ def _job_line_to_argv(line: str) -> list[str]:
     return [command] + argv
 
 
-def _run_job_file(path: str) -> int:
+def _run_job_file(path: str, parser: argparse.ArgumentParser) -> int:
     worst = EXIT_OK
     try:
         lines = Path(path).read_text().splitlines()
@@ -494,27 +487,34 @@ def _run_job_file(path: str) -> int:
             worst = max(worst, EXIT_USAGE)
             continue
         try:
-            code = main(argv)
+            args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse rejected this line
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
             print(f"job line {lineno}: invalid arguments: {line}", file=sys.stderr)
+        else:
+            code = _run_command(args, f"job line {lineno}: ")
         worst = max(worst, code)
     return worst
+
+
+def _run_command(args, where: str = "") -> int:
+    """Run a parsed command; a HeisSplitError is reported after ``where``."""
+    try:
+        return args.handler(args)
+    except HeisSplitError as exc:
+        print(f"{where}error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.job_file:
-        return _run_job_file(args.job_file)
+        return _run_job_file(args.job_file, parser)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.handler(args)
-    except HeisSplitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return _run_command(args)
 
 
 def run_main() -> None:

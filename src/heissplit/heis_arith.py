@@ -22,9 +22,9 @@ over shifts is the binomial form above).  Since eps_n(x) = eps_0(zeta^n x),
 the shifted powers are one power with its coefficient of x^k scaled by
 zeta^(nk), and the sum scales it by sum_n zeta^(nk), which is ell when
 ell | k and 0 otherwise.  ``expand_a_poly`` powers eps_0 once, forms that
-sum, and checks the cancellation that makes the contraction legal.
-``packed_a_poly`` caches the result once per context in the packed form
-that the predictions' cross-checks evaluate.  eps has one
+sum, checks the cancellation that makes the contraction legal, and returns
+a tuple of F_p ints; ``packed_a_poly`` caches it once per context in the
+packed form that the predictions' cross-checks evaluate.  eps has one
 definition, ``finite_field.epsilon_value``, shared with the oracle: it
 defines the cover, not the criterion.
 """
@@ -48,11 +48,10 @@ from .finite_field import (
     epsilon_value,
     lth_root,
     power_residue_symbol,
-    prime_field,
     zeta_index,
 )
 from .heisenberg import HeisElem, class_label, element_order
-from .polynomial import PackedPoly, Poly
+from .polynomial import PackedPoly, kronecker_mul, power
 
 # Longest power of eps_0 that ``expand_a_poly`` builds.  The power has
 # (ell - 1)(p - 1)/2 + 1 coefficients, so the cap admits ell = 2 up to p of
@@ -155,9 +154,9 @@ def a2_value(ctx: Context, a: int) -> int:
     return val
 
 
-def expand_a_poly(ctx: Context) -> Poly:
-    """Coefficients of A_ell as a polynomial in a, over F_p.  Each call
-    expands afresh; ``packed_a_poly`` is the per-context cache.
+def expand_a_poly(ctx: Context) -> tuple[int, ...]:
+    """A_ell's coefficients in F_p, lowest degree first, no trailing zero.
+    Each call expands afresh; ``packed_a_poly`` is the per-context cache.
 
     Expands sum_n eps_n(s)^((p-1)/ell) with s an indeterminate standing for
     an ell-th root of a, verifies that only exponents divisible by ell
@@ -187,13 +186,12 @@ def expand_a_poly(ctx: Context) -> Poly:
             f"A_{ell} at p = {p} needs {length} coefficients, above the cap "
             f"of {MAX_EXPANSION_COEFFS}"
         )
-    fld = prime_field(p)
-    base = Poly.one(fld)
+    base = [1]
     w = zeta
     for i in range(1, ell):
-        base = base * Poly(fld, (1, -w % p)) ** i
+        base = kronecker_mul(base, power([1, -w % p], i, p), p)
         w = w * zeta % p
-    coeffs = (base ** ((p - 1) // ell)).coeffs
+    coeffs = power(base, (p - 1) // ell, p)
     assert len(coeffs) <= length
     # sigma[r] = sum_n (zeta^r)^n for r over one period of zeta's powers,
     # cut at len(coeffs) when the period is longer (a zeta of high order)
@@ -213,7 +211,9 @@ def expand_a_poly(ctx: Context) -> Poly:
         )
     inv_ell = pow(ell, -1, p)
     contracted = [c * inv_ell % p for c in total[::ell]]
-    return Poly(fld, contracted)
+    while contracted and contracted[-1] == 0:
+        contracted.pop()
+    return tuple(contracted)
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +225,7 @@ def packed_a_poly(ctx: Context) -> PackedPoly:
     evaluation takes about 0.3 ms, against about 10 ms for Horner's rule
     over the tuple (shared 2-core host).
     """
-    return PackedPoly(expand_a_poly(ctx))
+    return PackedPoly(ctx.p, expand_a_poly(ctx))
 
 
 def a_poly_eval(ctx: Context, a: int) -> int:

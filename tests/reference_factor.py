@@ -14,10 +14,14 @@ tests hold that function (through ``binomial_pairs``),
 ``finite_field.binomial_roots`` and the splitting oracle to this engine,
 answer for answer, and hold every binomial the oracle declares irreducible
 to Ben-Or's test (``is_irreducible``).  ``Factorization`` and ``binomial``
-live here with the engine, their only user.  The polynomial division
-kernel (``poly_divmod`` and the ``gcd``, ``pow_mod`` and ``_ddf`` built on
-it) lives here too: ``heissplit.Poly`` keeps only the ring operations the
-package needs.
+live here with the engine, their only user.
+
+``Poly``, the dense polynomial ring over any constructed finite field, and
+its division kernel (``poly_divmod`` and the ``gcd``, ``pow_mod`` and
+``_ddf`` built on it) live here too.  The package keeps the criterion
+polynomial as a plain tuple of F_p ints and needs no polynomial type; over
+F_p, ``Poly.__pow__`` calls the package's kernel
+``heissplit.polynomial.power``, so both sides power with one code path.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 from heissplit.errors import HeisSplitError, MixedModulusError
 from heissplit.finite_field import PrimeField
-from heissplit.polynomial import Poly
+from heissplit.polynomial import power
 from heissplit.seeds import derive_seed
 
 
@@ -37,6 +41,131 @@ class NotSquarefreeError(HeisSplitError):
 
 class ZeroPolynomialError(HeisSplitError):
     """The zero polynomial passed where a nonzero one is required."""
+
+
+class Poly:
+    """Immutable dense polynomial over a fixed finite field.
+
+    Coefficients are stored lowest degree first, with no trailing zero, in
+    the coefficient field's element representation (ints for F_p, tuples
+    for F_{p^m}).
+    """
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        zero = field.zero
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == zero:
+            coeffs.pop()
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __setattr__(self, name, value):  # pragma: no cover
+        raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def zero(cls, field) -> "Poly":
+        return cls(field, ())
+
+    @classmethod
+    def one(cls, field) -> "Poly":
+        return cls(field, (field.one,))
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def sort_key(self) -> tuple:
+        """(degree, coefficient encoding) for canonical ordering."""
+        key = self.field.elem_key
+        return (self.degree, tuple(key(c) for c in self.coeffs))
+
+    def _same_field(self, other: "Poly"):
+        if self.field != other.field:
+            raise MixedModulusError("polynomials over different fields")
+
+    def __add__(self, other: "Poly") -> "Poly":
+        self._same_field(other)
+        f = self.field
+        a, b = self.coeffs, other.coeffs
+        out = [f.add(x, y) for x, y in zip(a, b)]
+        out += a[len(b):] + b[len(a):]  # the longer one's tail
+        return Poly(f, out)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        self._same_field(other)
+        f = self.field
+        a, b = self.coeffs, other.coeffs
+        out = [f.sub(x, y) for x, y in zip(a, b)]
+        out += a[len(b):]
+        out += [f.neg(y) for y in b[len(a):]]
+        return Poly(f, out)
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        self._same_field(other)
+        f = self.field
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly.zero(f)
+        if isinstance(f, PrimeField):
+            # bare int convolution, one reduction per coefficient
+            p = f.p
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        out[i + j] += ai * bj
+            return Poly(f, [v % p for v in out])
+        out = [f.zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai != f.zero:
+                for j, bj in enumerate(b):
+                    out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+        return Poly(f, out)
+
+    def __pow__(self, e: int) -> "Poly":
+        """self^e: a nonzero self over F_p by the package's ``power``, any
+        other by square-and-multiply with schoolbook products."""
+        if e < 0:
+            raise ValueError("negative polynomial power")
+        f = self.field
+        if isinstance(f, PrimeField) and not self.is_zero:
+            return Poly(f, power(self.coeffs, e, f.p))
+        acc = Poly.one(f)
+        base = self
+        while e:
+            if e & 1:
+                acc = acc * base
+            base = base * base
+            e >>= 1
+        return acc
+
+    def evaluate(self, x):
+        """self(x) by Horner's rule."""
+        f = self.field
+        acc = f.zero
+        for c in reversed(self.coeffs):
+            acc = f.add(f.mul(acc, x), c)
+        return acc
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Poly)
+            and other.field == self.field
+            and other.coeffs == self.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"Poly({self.field!r}, {self.coeffs!r})"
 
 
 def binomial(field, n: int, c) -> Poly:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, job files, parallelism."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+APOLY_SHA256 = {
+    (5, 2): ("be2109c5f0f600b2d808fd4a8c5cd51335701e25b59f8e51bd40f1c169791aab",
+             "95e33d3045173d79370d97ccb7e5437385e7c29631bd77e12bdc3fd06e01be9a"),
+    (13, 2): ("028826b598999a9c5bf3516e660be32a1894550a979bfc476b34641230fdb127",
+              "a471047c895236e5a447b3e97fba5fcf5aa02dfb6c1fad7645e491f957e6fd70"),
+    (31, 3): ("e16e00cadf371f00fd7ce7d5835b2a7474daaed12431f826d229cdfb771446b6",
+              "a2d1621a59c87807144373fe80f5c9fd1422697e387f80412bffc6c6fee0b8a2"),
+    (11, 5): ("55dfc22d84aa99ff4680c2b9a0f0c9da3b14373b6f59fd0e79378bdf1a19295c",
+              "fdaf9ebe7ce1f398b226af80af336458d0d05a92cc83664c73e612ff7ae502c0"),
+    (29, 7): ("65dffb8848a73f777054afd2198a6ab07cc9b1eb0156f1f69cb15df35e856410",
+              "92530e4c103ec703e8dd3fcafbb44a9bf6399b02d423be98ec1106d46cdd0be5"),
+    (23, 11): ("2687f18b1b6763ef14869cf69a2273602af9e042965e386aedfbf3626e26b1f8",
+               "5beee4975bf4e6a5bd4f39d3eb4d1569010d94fe1387abd189324df4184b7b0c"),
+    (10009, 3): ("2ed539992acc32d0423686eccb59f46dc158f8efd86a633653a9a79ba17656c6",
+                 "d58eb2fc83e420d7baba6c8519351d25725a9fbb88da8fd0503aa76fed380058"),
+    (200003, 2): ("51d780ed3684d68e6fa86ad851725e21d4661668736fd6256f17907bfa1ec2d9",
+                  "866cab2a853f7014c8abffbf71f2a0cab42ed9a9019a4a53c2c0ae33b039e6e9"),
+}
 
 
 class TestPSpec:
@@ -85,6 +106,17 @@ class TestSimpleCommands:
         assert len(both_trivial) == 20
         for a in both_trivial:
             assert a_ell_value(ctx, a) == a_poly_eval(ctx, a), a
+
+    @pytest.mark.parametrize("p,ell", list(APOLY_SHA256))
+    def test_apoly_output_is_pinned(self, capsys, p, ell):
+        # sha256 of the CSV and JSON apoly outputs: the binomial (ell = 2)
+        # and Kronecker (ell >= 3) expansions, byte for byte
+        got = []
+        for fmt in ("csv", "json"):
+            code, out, _ = run(capsys, "apoly", "-p", str(p), "-l", str(ell), "--format", fmt)
+            assert code == 0
+            got.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(got) == APOLY_SHA256[p, ell]
 
     def test_avalue_methods(self, capsys):
         code, out, _ = run(capsys, "avalue", "-p", "31", "-l", "3", "-a", "2",
@@ -303,6 +335,18 @@ class TestJobFile:
         assert code == 2  # argparse: scan needs -l
         assert "7,3,2," in captured.out
         assert "job line 1" in captured.err
+
+    def test_handler_error_names_its_line(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text(
+            f"command=symbol p=7 l=3 a=2 o={tmp_path}\n"
+            "command=symbol p=7 l=3 a=2\n"
+        )
+        code = main(["--job-file", str(jobs)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"job line 1: error: cannot write {tmp_path}")
+        assert captured.out == "p,ell,a,seed,symbol\n7,3,2,271828,2\n"
 
 
 class TestJobs:

@@ -33,8 +33,7 @@ from heissplit import (
 )
 from heissplit.finite_field import _ell_sylow
 from heissplit.splitting_oracle import binomial_factors
-from heissplit.polynomial import Poly
-from reference_factor import is_irreducible, poly_x, pow_mod
+from reference_factor import Poly, is_irreducible, poly_x, pow_mod
 
 SMALL_CONTEXTS = [(13, 2), (5, 2), (7, 3), (31, 3), (11, 5), (199, 2), (43, 7)]
 

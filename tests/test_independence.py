@@ -1,15 +1,17 @@
-"""The oracle does not import the criterion code, and neither uses
-randomness.
+"""The oracle does not import the criterion code, neither uses
+randomness, and the package has no polynomial type.
 
-``splitting_oracle``, ``polynomial`` and ``finite_field`` must not reach
-``heis_arith``, neither directly nor through another package module nor
-through the package ``__init__`` (which re-exports ``heis_arith``).
-``finite_field``, the base layer, imports no package module but ``errors``,
-and ``splitting_oracle`` reaches no package module but those two: it works
-in roots and degrees, with no polynomial type.
-The prediction and the oracle (``heis_arith``, ``splitting_oracle``,
-``polynomial``, ``finite_field``, and every package module they reach)
-import neither ``random`` nor ``heissplit.seeds``.  The checks read the
+``splitting_oracle`` and ``finite_field`` must not reach ``heis_arith``,
+neither directly nor through another package module nor through the
+package ``__init__`` (which re-exports ``heis_arith``).  ``finite_field``,
+the base layer, imports no package module but ``errors``, and
+``splitting_oracle`` reaches no package module but those two: it works in
+roots and degrees.  The prediction and the oracle (``heis_arith``,
+``splitting_oracle``, ``finite_field``, and every package module they
+reach, among them the F_p kernels of ``polynomial``) import neither
+``random`` nor ``heissplit.seeds``.  The criterion polynomial is a tuple of
+F_p ints, so no package module defines a class ``Poly``; the generic ring
+lives with the tests (``reference_factor.py``).  The checks read the
 sources with ``ast``, so they see every import statement, including ones
 inside functions.
 """
@@ -22,10 +24,10 @@ import heissplit
 
 PACKAGE = "heissplit"
 PACKAGE_DIR = Path(heissplit.__file__).parent
-ORACLE_MODULES = ("splitting_oracle", "polynomial", "finite_field")
+ORACLE_MODULES = ("splitting_oracle", "finite_field")
 # "__init__" stands for the package itself, which imports heis_arith
 FORBIDDEN = {"heis_arith", "__init__"}
-DETERMINISTIC_MODULES = ("heis_arith", "splitting_oracle", "polynomial", "finite_field")
+DETERMINISTIC_MODULES = ("heis_arith", "splitting_oracle", "finite_field")
 
 
 def _is_module(name: str) -> bool:
@@ -90,7 +92,7 @@ def read_module(module: str) -> str:
 
 def test_oracle_never_reaches_heis_arith():
     seen = reachable(ORACLE_MODULES, read_module)
-    assert "polynomial" in seen and "errors" in seen
+    assert "errors" in seen
     assert not seen & FORBIDDEN, sorted(seen)
 
 
@@ -108,6 +110,7 @@ def test_oracle_reaches_only_errors_and_finite_field():
 def test_prediction_and_oracle_use_no_randomness():
     # the package __init__ imports seeds, so reaching it is a leak too
     seen = reachable(DETERMINISTIC_MODULES, read_module, stop={"__init__"})
+    assert "polynomial" in seen
     assert not seen & {"seeds", "__init__"}, sorted(seen)
     random_users = [m for m in sorted(seen) if "random" in outside_imports(read_module(m))]
     assert random_users == []
@@ -120,7 +123,7 @@ def test_randomness_guard_catches_every_import_form():
         "import random as rnd, math": {"random", "math"},
         "def f():\n    import random\n": {"random"},
         "from .random import x": set(),
-        "from heissplit.polynomial import Poly": set(),
+        "from heissplit.finite_field import prime_field": set(),
     }
     for source, names in outside.items():
         assert outside_imports(source) == names, source
@@ -149,8 +152,8 @@ def test_guard_catches_every_import_form():
 
 def test_guard_follows_other_modules():
     sources = {
-        "splitting_oracle": "from .polynomial import Poly",
-        "polynomial": "from .verification import scan_point",
+        "splitting_oracle": "from .finite_field import prime_field",
+        "finite_field": "from .verification import scan_point",
         "verification": "from .heis_arith import frobenius_prediction",
     }
     assert "heis_arith" in reachable(["splitting_oracle"], sources.get)
@@ -162,7 +165,7 @@ PUBLIC_NAMES = [
     "DegenerateValueError", "DivisibilityError", "ExpansionTooLargeError",
     "ExtField", "FrobPrediction", "HeisElem", "HeisSplitError",
     "MalformedSpecError", "MixedModulusError", "NoRootOfUnityError",
-    "NonPositiveCountError", "NotPrimeError", "NotResidueError", "PackedPoly", "Poly",
+    "NonPositiveCountError", "NotPrimeError", "NotResidueError",
     "PolynomialityViolationError", "PrimeField", "PrimeOutOfRangeError",
     "ScanRecord", "ScanResult", "SplitReport", "SymbolNotTrivialError",
     "UnsupportedEllError", "WrongEllError", "ZeroArgumentError", "a2_value",
@@ -175,6 +178,23 @@ PUBLIC_NAMES = [
     "prime_field", "primitive_root", "split_K", "split_R", "split_R2_curve",
     "verify_theorems_scan",
 ]
+
+
+def poly_classes(source: str) -> list[str]:
+    """Names of the classes called ``Poly`` that ``source`` defines."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == "Poly"
+    ]
+
+
+def test_no_module_defines_a_poly_class():
+    assert poly_classes("class Poly:\n    pass\n") == ["Poly"]
+    assert poly_classes("def f():\n    class Poly(tuple):\n        pass\n") == ["Poly"]
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) > 5
+    assert [path.stem for path in modules if poly_classes(path.read_text())] == []
 
 
 def test_public_names_are_pinned():

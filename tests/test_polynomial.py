@@ -1,5 +1,6 @@
-"""Polynomial arithmetic, the oracle's binomial factors, and the generic
-reference engine they are held to."""
+"""Polynomial arithmetic (the package's F_p kernels and the reference
+ring), the oracle's binomial factors, and the generic reference engine
+they are held to."""
 
 import random
 from math import comb
@@ -12,8 +13,6 @@ from heissplit import (
     DivisibilityError,
     ExtField,
     NotPrimeError,
-    PackedPoly,
-    Poly,
     ZeroArgumentError,
     binomial_roots,
     build_extension,
@@ -23,9 +22,11 @@ from heissplit import (
     prime_field,
     splitting_oracle,
 )
+from heissplit.polynomial import PackedPoly, kronecker_mul, power
 from heissplit.splitting_oracle import binomial_factors
 from reference_factor import (
     NotSquarefreeError,
+    Poly,
     ZeroPolynomialError,
     binomial,
     binomial_pairs,
@@ -140,13 +141,12 @@ def horner(coeffs, x, p):
 
 
 class TestPrimeFieldKernels:
-    """``__pow__`` (binomial branch and Kronecker products) and
-    ``PackedPoly.evaluate`` over F_p against schoolbook multiplication and
-    Horner's rule."""
+    """``power`` (binomial branch and Kronecker products), ``kronecker_mul``
+    and ``PackedPoly.evaluate`` on F_p coefficient lists against schoolbook
+    multiplication and Horner's rule."""
 
     @pytest.mark.parametrize("p", [2, 3, 7, 61, 200003])
     def test_pow_matches_repeated_schoolbook(self, p):
-        fld = prime_field(p)
         rng = random.Random(p)
         max_e = min(3 * p, 64)
         for deg in range(7):
@@ -156,30 +156,26 @@ class TestPrimeFieldKernels:
                     coeffs[0] = 0  # c0 = 0: a monomial
                 if trial == 2:
                     coeffs = [p - 1] * (deg + 1)  # largest coefficients
-                f = Poly(fld, coeffs)
                 ref = [1]
                 for e in range(max_e + 1):
-                    assert (f**e).coeffs == tuple(ref), (coeffs, e)
+                    assert power(coeffs, e, p) == ref, (coeffs, e)
                     ref = schoolbook_mul(ref, coeffs, p)
 
     @pytest.mark.parametrize("p", [3, 7, 61])
     def test_linear_base_with_e_at_least_p(self, p):
         # e >= p leaves the binomial branch, where k! would vanish mod p
-        fld = prime_field(p)
         for c0, c1 in [(1, 1), (p - 1, 2), (0, p - 1)]:
-            f = Poly(fld, (c0, c1))
             ref = [1]
             for e in range(3 * p + 2):
                 if e >= p - 1:
-                    assert (f**e).coeffs == tuple(ref), (c0, c1, e)
+                    assert power([c0, c1], e, p) == ref, (c0, c1, e)
                 ref = schoolbook_mul(ref, [c0, c1], p)
 
     def test_binomial_branch_at_large_exponent(self):
         p = 200003
-        fld = prime_field(p)
         e = (p - 1) // 2
         for c0, c1 in [(1, p - 1), (5, 7), (0, 3)]:
-            got = (Poly(fld, (c0, c1)) ** e).coeffs
+            got = power([c0, c1], e, p)
             assert len(got) == e + 1
             for k in (0, 1, 2, 1000, e - 1000, e - 1, e):
                 want = comb(e, k) * pow(c0, e - k, p) * pow(c1, k, p) % p
@@ -187,52 +183,63 @@ class TestPrimeFieldKernels:
 
     def test_pow_of_degree_over_500(self):
         p = 200003
-        fld = prime_field(p)
         rng = random.Random(500)
         coeffs = [rng.randrange(p) for _ in range(6)] + [p - 1]
-        f = Poly(fld, coeffs)
         ref = [1]
         for _ in range(90):
             ref = schoolbook_mul(ref, coeffs, p)
-        got = f**90
-        assert got.degree == 540
-        assert got.coeffs == tuple(ref)
+        got = power(coeffs, 90, p)
+        assert len(got) == 541
+        assert got == ref
+
+    @pytest.mark.parametrize("p", [2, 3, 61, 200003, 2**31 - 1])
+    def test_kronecker_slots_hold_the_largest_sums(self, p):
+        # all coefficients p - 1 make every product coefficient the largest
+        # sum its slot bound allows, for both the shorter and longer operand
+        for n, m in ((1, 1), (1, 5), (2, 3), (15, 16), (16, 17), (31, 200), (99, 99)):
+            a, b = [p - 1] * n, [p - 1] * m
+            assert kronecker_mul(a, b, p) == schoolbook_mul(a, b, p), (n, m)
+            assert kronecker_mul(b, a, p) == schoolbook_mul(b, a, p), (n, m)
+            assert kronecker_mul(a, a, p) == schoolbook_mul(a, a, p), n
 
     @pytest.mark.parametrize("p", [2, 3, 7, 61, 200003, 2**31 - 1])
     def test_evaluate_around_every_block_boundary(self, p):
         # every n in [0, k^2 + 1] crosses each row boundary of b = isqrt(n)
         k = 7
-        fld = prime_field(p)
         rng = random.Random(p)
         points = [0, 1, p - 1] + [rng.randrange(p) for _ in range(4)]
         for n in range(k * k + 2):
             coeffs = [rng.randrange(p) for _ in range(n)]
             if n:
                 coeffs[-1] = rng.randrange(1, p)
-            f = Poly(fld, coeffs)
-            packed = PackedPoly(f)
+            packed = PackedPoly(p, coeffs)
             for x in points:
-                want = horner(coeffs, x, p)
-                assert f.evaluate(x) == want, (n, x)
-                assert packed.evaluate(x) == want, (n, x)
+                assert packed.evaluate(x) == horner(coeffs, x, p), (n, x)
 
     @pytest.mark.parametrize("p", [2, 3, 61, 200003, 2**31 - 1])
     def test_packed_slots_hold_the_largest_sums(self, p):
         # all coefficients p - 1 and x = p - 1 (y = x^b = +-1) put the
         # largest values the slot bound allows into every slot
-        fld = prime_field(p)
         rng = random.Random(p)
         points = [0, 1, p - 1] + [rng.randrange(p) for _ in range(3)]
         for n in (1, 2, 3, 4, 15, 16, 17, 99, 100, 101, 2000):
             coeffs = [p - 1] * n
-            packed = PackedPoly(Poly(fld, coeffs))
+            packed = PackedPoly(p, coeffs)
             for x in points:
                 assert packed.evaluate(x) == horner(coeffs, x, p), (n, x)
 
-    def test_packed_rejects_extension_field(self):
+    def test_reference_ring_powers_through_the_kernel(self):
+        # Poly over F_p delegates to power; over F_49 it multiplies itself
+        f = poly_from(F7, 3, 0, 5)
+        assert (f**9).coeffs == tuple(power([3, 0, 5], 9, 7))
+        assert Poly.zero(F7) ** 0 == Poly.one(F7)
+        assert (Poly.zero(F7) ** 5).is_zero
         ext = build_extension(7, 2)
-        with pytest.raises(TypeError):
-            PackedPoly(Poly(ext, [ext.one, ext.one]))
+        g = Poly(ext, [ext.one, ext.embed(2), (3, 4)])
+        acc = Poly.one(ext)
+        for e in range(6):
+            assert g**e == acc
+            acc = acc * g
 
 
 class TestFactor:

@@ -9,7 +9,6 @@ import pytest
 
 from heissplit import (
     DegenerateValueError,
-    Poly,
     SymbolNotTrivialError,
     WrongEllError,
     is_prime,
@@ -21,7 +20,7 @@ from heissplit import (
     splitting_oracle,
 )
 from heissplit.verification import admissible_values, scan_point
-from reference_factor import binomial, binomial_pairs, is_irreducible, roots_in_field
+from reference_factor import Poly, binomial, binomial_pairs, is_irreducible, roots_in_field
 
 C13 = make_context(13, 2)
 C7 = make_context(7, 3)
