@@ -95,6 +95,31 @@ def _resolve_output(path: str | None) -> Path | None:
     return p
 
 
+def _cannot_write(path: Path, exc: OSError) -> MalformedSpecError:
+    return MalformedSpecError(f"cannot write {path}: {exc.strerror}")
+
+
+def _check_output(output: str | None) -> None:
+    """Fail before any work when the output target cannot be opened.
+
+    The target is opened for appending, which truncates nothing, so a run
+    that fails later leaves an existing file as it was; a file that this
+    check creates is removed again.
+    """
+    path = _resolve_output(output)
+    if path is None:
+        return
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        created = not path.exists()
+        with path.open("a"):
+            pass
+        if created:
+            path.unlink()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
 def _emit(rows: list[dict], columns, fmt: str, output: str | None) -> None:
     text = rows_to_csv(rows, columns) if fmt == "csv" else rows_to_json(rows)
     path = _resolve_output(output)
@@ -105,7 +130,7 @@ def _emit(rows: list[dict], columns, fmt: str, output: str | None) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
         except OSError as exc:
-            raise MalformedSpecError(f"cannot write {path}: {exc.strerror}") from None
+            raise _cannot_write(path, exc) from None
 
 
 def _scan_worker(task: tuple[Context, int, int]) -> dict:
@@ -234,6 +259,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_scan(args) -> int:
     contexts = _contexts(args.p, args.ell)
+    _check_output(args.output)
     rows = _parallel_scan(contexts, args.seed, args.jobs)
     _emit(rows, SCAN_COLUMNS, args.format, args.output)
     return EXIT_OK if all(r["agree"] for r in rows) else EXIT_FAILURE
@@ -241,6 +267,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     contexts = _contexts(args.p, args.ell)
+    _check_output(args.output)
     rows: list[dict] = []
     failed = False
     for ctx in contexts:

@@ -8,18 +8,23 @@ u^ell - a over F_p, irreducible factor of v^ell - (1 - a) over the residue
 field of the first factor).
 
 Every polynomial factored here is a binomial x^ell - c over a field
-F_q = F_{p^m} with ell | p - 1 (zeta lies in F_p), and the oracle needs
-only its roots, or the fact that it is irreducible.  ``binomial_factors``
-decides it by the norm N(c) to F_p, with c^((q-1)/ell) = N(c)^((p-1)/ell):
-ell linear factors when c is an ell-th power, irreducible otherwise
-(Lidl-Niederreiter, *Finite Fields*, Thm 3.75), and returns one
-(degree, root) pair per factor.  The roots r * zeta^i, for one ell-th root
-r of c certified by r^ell = c and a zeta certified once per field to have
-order ell, are ell distinct roots: all of them.  An irreducible binomial
-is certified by Abel's criterion, c^((q-1)/ell) != 1 taken as one field
-power apart from the norm.  No randomness is involved: ``split_K`` and
-``split_R`` take the caller's seed only to record it in their reports, and
-nothing else in a report depends on it.
+F_q = F_{p^m} with ell | p - 1 (zeta lies in F_p): ell linear factors when
+c is an ell-th power, irreducible otherwise (Lidl-Niederreiter, *Finite
+Fields*, Thm 3.75), and c^((q-1)/ell) = N(c)^((p-1)/ell), with N the norm
+to F_p, decides which.  Only the u-binomial u^ell - a gets roots, because
+its root is the image of u at which eps is evaluated: ``binomial_factors``
+returns one (degree, root) pair per factor.  Its roots r * zeta^i, for one
+ell-th root r of c certified by r^ell = c and a zeta certified once per
+field to have order ell, are ell distinct roots: all of them.  An
+irreducible u-binomial is certified by Abel's criterion, c^((q-1)/ell) != 1
+taken as one field power apart from the norm.  Of the v-binomial
+v^ell - (1 - a) and the z-binomial z^ell - epsbar only the factor degree is
+read, so ``binomial_degree`` computes no root: it decides by the norm
+symbol N(c)^((p-1)/ell) and asserts that Abel's power c^((q-1)/ell), taken
+by square-and-multiply, gives the same answer in either direction.  No
+randomness is involved: ``split_K`` and ``split_R`` take the caller's seed
+only to record it in their reports, and nothing else in a report depends
+on it.
 
 The full cover R adjoins an ell-th root of the unit product
 eps(t) = prod (1 - zeta^i t^(1/ell))^i.  Above a K-prime with residue field
@@ -101,7 +106,9 @@ def binomial_factors(fld, ell: int, c) -> tuple[tuple[int, object], ...]:
     """One (degree, root) pair per monic irreducible factor of x^ell - c
     over ``fld``, with no randomness: (1, r) for each root r, sorted by the
     key of the factor's constant term -r, or ((ell, None),) when the
-    binomial is irreducible.
+    binomial is irreducible.  The oracle calls it for the u-binomial only,
+    whose root it needs; ``binomial_degree`` answers where only the degree
+    is read.
 
     An irreducible answer is certified by Abel's theorem: for ell prime,
     x^ell - c is irreducible over F_q iff c is not an ell-th power (Lang,
@@ -123,6 +130,30 @@ def binomial_factors(fld, ell: int, c) -> tuple[tuple[int, object], ...]:
         return ((ell, None),)
     roots = sorted(roots, key=lambda r: fld.elem_key(fld.neg(r)))
     return tuple((1, r) for r in roots)
+
+
+def binomial_degree(fld, ell: int, c) -> int:
+    """Degree of each monic irreducible factor of x^ell - c over ``fld``:
+    1 when the binomial splits, ell when it is irreducible.  No root is
+    computed.
+
+    The answer is the norm symbol: c is an ell-th power iff
+    N(c)^((p-1)/ell) = 1, with the norm N(c) taken through the Frobenius
+    matrix.  Abel's power c^((q-1)/ell), the same value taken by
+    ``fld.pow`` by square-and-multiply, must agree in either direction:
+    for ell prime and ell | p - 1, x^ell - c splits into ell distinct
+    linear factors when it is 1 and is irreducible otherwise (Lang,
+    *Algebra*, VI Thm 9.1).
+
+    Requires ell prime, ell | p - 1 and c != 0, as ``binomial_factors``
+    does; the oracle's contexts guarantee all three.
+    """
+    p = fld.p
+    split = pow(fld.norm(c), (p - 1) // ell, p) == 1
+    assert split == (fld.pow(c, (fld.order - 1) // ell) == fld.one), (
+        "certificate: the norm symbol agrees with Abel's power"
+    )
+    return 1 if split else ell
 
 
 def _check_a(ctx: Context, a: int) -> int:
@@ -150,17 +181,17 @@ def _k_primes(ctx: Context, a: int) -> tuple[_KPrime, ...]:
         if m > 1:
             # u^ell - a is irreducible over F_p and splits over F_{p^ell}
             x_mid = binomial_roots(mid, ell, mid.embed(a))[0]
-        v_pairs = binomial_factors(mid, ell, mid.embed((1 - a) % p))
-        for iv, (d, _) in enumerate(v_pairs):
-            if d == 1:
-                out.append(_KPrime(mid, x_mid, m, iu, iv))
-            else:
-                # every element of F_p is an ell-th power in F_{p^ell}
-                # (p - 1 divides (p^ell - 1)/ell as p = 1 mod ell), so the
-                # v-binomial splits when m = ell: x_mid is in F_p here
-                assert m == 1, "the v-binomial splits over F_{p^ell}"
-                top = build_extension(p, d)
-                out.append(_KPrime(top, top.embed(x_mid), d, iu, iv))
+        d = binomial_degree(mid, ell, mid.embed((1 - a) % p))
+        fld, x = mid, x_mid
+        if d > 1:
+            # every element of F_p is an ell-th power in F_{p^ell}
+            # (p - 1 divides (p^ell - 1)/ell as p = 1 mod ell), so the
+            # v-binomial splits when m = ell: x_mid is in F_p here
+            assert m == 1, "the v-binomial splits over F_{p^ell}"
+            fld = build_extension(p, d)
+            x = fld.embed(x_mid)
+        # one K-prime per factor: ell of degree m, or one of degree ell
+        out.extend(_KPrime(fld, x, m * d, iu, iv) for iv in range(ell // d))
     return tuple(out)
 
 
@@ -207,8 +238,10 @@ def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
         eps1 = epsilon_value(ctx, kp.x_image, shift=1, field=fld)
         ratio = fld.mul(eps1, fld.inv(eps))
         assert pow(fld.norm(ratio), ctx.cofactor, ctx.p) == 1
-        for iz, (d, _) in enumerate(binomial_factors(fld, ell, eps)):
-            primes.append(PrimeTrace(kp.u_index, kp.v_index, iz, kp.degree * d))
+        d = binomial_degree(fld, ell, eps)
+        primes.extend(
+            PrimeTrace(kp.u_index, kp.v_index, iz, kp.degree * d) for iz in range(ell // d)
+        )
     degrees = tuple(sorted(t.degree for t in primes))
     assert sum(degrees) == ell**3, "residue degrees must sum to ell^3"
     assert len(set(degrees)) == 1, "conjugate primes share the residue degree"

@@ -465,20 +465,28 @@ def count_irreducible_factors(f: Poly, seed: int) -> tuple[int, tuple[int, ...]]
     return len(fac.factors), degrees
 
 
+def linear_part(f: Poly) -> Poly:
+    """gcd(f, x^q - x) for nonzero f of degree >= 1: the product of the
+    distinct monic linear factors x - r of f over its coefficient field F_q,
+    one per root, since x^q - x is the product of all of them.  Its degree
+    is the number of distinct roots of f in F_q."""
+    x = poly_x(f.field)
+    return gcd(f, pow_mod(x, f.field.order, f) - x)
+
+
 def roots_in_field(f: Poly) -> tuple:
     """All roots of f in its coefficient field, sorted canonically.
 
-    Found via gcd(f, x^q - x) followed by equal-degree splitting; the root
-    set is choice-free, so a fixed internal seed keeps this deterministic.
+    Found via ``linear_part``, gcd(f, x^q - x), followed by equal-degree
+    splitting; the root set is choice-free, so a fixed internal seed keeps
+    this deterministic.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot take roots of the zero polynomial")
     fld = f.field
     if f.degree == 0:
         return ()
-    x = poly_x(fld)
-    h = pow_mod(x, fld.order, f)
-    g = gcd(f, h - x)
+    g = linear_part(f)
     if g.degree == 0:
         return ()
     rng = random.Random(derive_seed(0, "roots", g.sort_key()))

@@ -10,7 +10,15 @@ import time
 
 import pytest
 
-from heissplit import a_ell_value, a_poly_eval, cli, make_context, power_residue_symbol
+from heissplit import (
+    DegenerateValueError,
+    a_ell_value,
+    a_poly_eval,
+    cli,
+    make_context,
+    power_residue_symbol,
+    verification,
+)
 from heissplit.cli import main, _parse_p_spec
 
 
@@ -272,6 +280,46 @@ class TestOutputs:
                              "-o", str(tmp_path))
         assert code == 2 and out == ""
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_unwritable_output_fails_before_any_point(self, capsys, monkeypatch,
+                                                      tmp_path, command):
+        def no_point(*args):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(cli, "scan_point", no_point)
+        monkeypatch.setattr(verification, "scan_point", no_point)
+        code, out, err = run(capsys, command, "-p", "13", "-l", "2", "-o", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_failed_run_leaves_the_output_alone(self, capsys, monkeypatch,
+                                                tmp_path, command):
+        # the check opens the target without truncating it, and removes a
+        # file that it created, so a run that fails after it writes nothing
+        def failing_point(*args):
+            raise DegenerateValueError("injected")
+
+        monkeypatch.setattr(cli, "scan_point", failing_point)
+        monkeypatch.setattr(verification, "scan_point", failing_point)
+        old = tmp_path / "old.csv"
+        old.write_text("kept\n")
+        new = tmp_path / "sub" / "new.csv"
+        for target in (old, new):
+            code, out, err = run(capsys, command, "-p", "13", "-l", "2", "-o", str(target))
+            assert code == 2 and out == "" and err == "error: injected\n"
+        assert old.read_text() == "kept\n"
+        assert not new.exists()
+
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, command):
+        target = tmp_path / "rows.csv"
+        target.write_text("stale rows that the run replaces\n" * 100)
+        _, expected, _ = run(capsys, command, "-p", "13", "-l", "2")
+        code, out, _ = run(capsys, command, "-p", "13", "-l", "2", "-o", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == expected
 
     def test_unwritable_output_does_not_stop_a_job_file(self, capsys, tmp_path):
         jobs = tmp_path / "jobs.txt"

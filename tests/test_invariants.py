@@ -294,15 +294,31 @@ def test_abel_certificate_against_a_lying_norm(monkeypatch):
     splitting_oracle.binomial_factors(fld, 2, fld.embed(4))
 
 
+@fires("splitting_oracle", "binomial_degree",
+       "split == (fld.pow(c, (fld.order - 1) // ell) == fld.one)")
+@pytest.mark.parametrize("says", ["power", "non-power"])
+def test_norm_symbol_against_abel(monkeypatch, says):
+    # F_{13^2} = F_13[x]/(x^2 - c0) with c0 no square mod 13: x is no
+    # square (x^84 = c0^42 = -1), while 4 is one.  A norm of 4 calls x a
+    # square; a norm of 2, no square mod 13, calls 4 a non-square
+    fld = build_extension(13, 2)
+    assert fld.modulus[1] == 0
+    x, four = (0, 1), fld.embed(4)
+    assert fld.pow(x, 84) != fld.one and fld.pow(four, 84) == fld.one
+    c, norm = (x, 4) if says == "power" else (four, 2)
+    monkeypatch.setattr(ExtField, "norm", lambda self, a: norm)
+    splitting_oracle.binomial_degree(fld, 2, c)
+
+
 @fires("splitting_oracle", "_k_primes", "m == 1")
 def test_v_binomial_irreducible_over_the_u_field(monkeypatch):
     # 2 is no square mod 13, so u^2 - 2 is irreducible and the v-binomial
-    # is factored over F_{13^2}, where it is declared irreducible here
-    factors = splitting_oracle.binomial_factors
+    # is decided over F_{13^2}, where it is declared irreducible here
+    degree = splitting_oracle.binomial_degree
     monkeypatch.setattr(
         splitting_oracle,
-        "binomial_factors",
-        lambda fld, ell, c: ((ell, None),) if fld.degree > 1 else factors(fld, ell, c),
+        "binomial_degree",
+        lambda fld, ell, c: ell if fld.degree > 1 else degree(fld, ell, c),
     )
     splitting_oracle.split_K(C13_2, 2, 0)
 
@@ -360,11 +376,9 @@ def test_split_r_with_a_shifted_eps_off_by_a_non_square(monkeypatch):
 
 @fires("splitting_oracle", "split_R", "sum(degrees) == ell**3")
 def test_split_r_with_a_dropped_z_factor(monkeypatch):
-    splitting_oracle.split_K(C13_2, A13, 0)  # the K-primes, before the fault
-    factors = splitting_oracle.binomial_factors
-    monkeypatch.setattr(
-        splitting_oracle, "binomial_factors", lambda fld, ell, c: factors(fld, ell, c)[1:]
-    )
+    # a K-prime lost before split_R takes its two z-factors with it
+    k_primes = splitting_oracle._k_primes
+    monkeypatch.setattr(splitting_oracle, "_k_primes", lambda ctx, a: k_primes(ctx, a)[1:])
     splitting_oracle.split_R(C13_2, A13, 0)
 
 
@@ -372,13 +386,13 @@ def test_split_r_with_a_dropped_z_factor(monkeypatch):
 def test_split_r_with_one_z_binomial_declared_irreducible(monkeypatch):
     # every z-binomial at A13 splits; the first one reported irreducible
     # keeps the degree sum at 8 but gives one prime of degree 2
-    splitting_oracle.split_K(C13_2, A13, 0)
-    factors = splitting_oracle.binomial_factors
+    splitting_oracle.split_K(C13_2, A13, 0)  # the K-primes, before the fault
+    degree = splitting_oracle.binomial_degree
     first = iter([True])
     monkeypatch.setattr(
         splitting_oracle,
-        "binomial_factors",
-        lambda fld, ell, c: ((ell, None),) if next(first, False) else factors(fld, ell, c),
+        "binomial_degree",
+        lambda fld, ell, c: ell if next(first, False) else degree(fld, ell, c),
     )
     splitting_oracle.split_R(C13_2, A13, 0)
 

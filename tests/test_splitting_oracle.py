@@ -9,8 +9,11 @@ import pytest
 
 from heissplit import (
     DegenerateValueError,
+    ExtField,
     SymbolNotTrivialError,
     WrongEllError,
+    finite_field,
+    heis_arith,
     is_prime,
     make_context,
     power_residue_symbol,
@@ -20,7 +23,22 @@ from heissplit import (
     splitting_oracle,
 )
 from heissplit.verification import admissible_values, scan_point
-from reference_factor import Poly, binomial, binomial_pairs, is_irreducible, roots_in_field
+from reference_factor import (
+    Poly,
+    binomial,
+    binomial_pairs,
+    is_irreducible,
+    linear_part,
+    roots_in_field,
+)
+
+# every cache that holds ExtField work across points
+CACHES = (
+    splitting_oracle._k_primes,
+    finite_field._ell_sylow,
+    finite_field.build_extension,
+    heis_arith.packed_a_poly,
+)
 
 C13 = make_context(13, 2)
 C7 = make_context(7, 3)
@@ -179,35 +197,74 @@ def test_scan_points_match_golden_digest(ell):
     assert digest.hexdigest() == GOLDEN_DIGESTS[ell]
 
 
+# finite_field.ExtField.mul calls per ell over SCAN_GRIDS, every cache
+# emptied first; per point 36.82, 97.64, 325.82, 674.34 and 1865.23.  The
+# counts repeat exactly, so a change may keep or lower them, never raise them
+MUL_CALLS = {2: 16496, 3: 49307, 5: 66793, 7: 45855, 11: 160410}
+
+
 @functools.cache
-def _scanned_binomials() -> dict:
-    """(field, ell, c) -> the pairs of binomial_factors, for every binomial
-    that the scans of SCAN_GRIDS factor."""
-    seen = {}
-    binomial_factors = splitting_oracle.binomial_factors
+def _scanned_binomials() -> tuple[dict, dict, dict]:
+    """One recording scan of SCAN_GRIDS: (pairs, degrees, mul_calls).
 
-    def recording(fld, ell, c):
-        seen[fld, ell, c] = binomial_factors(fld, ell, c)
-        return seen[fld, ell, c]
+    ``pairs`` maps (field, ell, c) to the (degree, root) pairs of every
+    binomial the oracle takes roots of, through binomial_factors or, for a
+    u-binomial over F_{p^ell}, binomial_roots; ``degrees`` maps it to the
+    answer of binomial_degree for every binomial decided by degree alone;
+    ``mul_calls`` maps ell to the ExtField.mul calls of its scan, counted
+    with the caches emptied first."""
+    pairs, degrees, mul_calls = {}, {}, {}
+    factors = splitting_oracle.binomial_factors
+    roots = splitting_oracle.binomial_roots
+    degree = splitting_oracle.binomial_degree
+    mul = ExtField.mul
+    calls = 0
 
-    splitting_oracle._k_primes.cache_clear()
+    def recording_factors(fld, ell, c):
+        pairs[fld, ell, c] = factors(fld, ell, c)
+        return pairs[fld, ell, c]
+
+    def recording_roots(fld, ell, c):
+        rs = roots(fld, ell, c)
+        pairs[fld, ell, c] = tuple((1, r) for r in rs)
+        return rs
+
+    def recording_degree(fld, ell, c):
+        degrees[fld, ell, c] = degree(fld, ell, c)
+        return degrees[fld, ell, c]
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(splitting_oracle, "binomial_factors", recording)
+        patch.setattr(splitting_oracle, "binomial_factors", recording_factors)
+        patch.setattr(splitting_oracle, "binomial_roots", recording_roots)
+        patch.setattr(splitting_oracle, "binomial_degree", recording_degree)
+        patch.setattr(ExtField, "mul", counting_mul)
         for ell, primes in SCAN_GRIDS.items():
+            for cache in CACHES:
+                cache.cache_clear()
+            calls = 0
             for p in primes:
                 ctx = make_context(p, ell)
                 for a in admissible_values(ctx):
                     scan_point(ctx, a, 1)
+            mul_calls[ell] = calls
     splitting_oracle._k_primes.cache_clear()
-    return seen
+    return pairs, degrees, mul_calls
 
 
 class TestEngines:
     def test_irreducible_binomials_pass_ben_or(self):
-        # binomial_factors certifies an irreducible binomial by Abel's
-        # criterion, one field power; Ben-Or's test, separate code, must
-        # agree on every binomial that these scans declare irreducible
-        distinct = [b for b, pairs in _scanned_binomials().items() if len(pairs) == 1]
+        # an irreducible binomial is certified by Abel's criterion, one
+        # field power: alone in binomial_factors, against the norm symbol in
+        # binomial_degree; Ben-Or's test, separate code, must agree on every
+        # binomial that these scans declare irreducible
+        pairs, degrees, _ = _scanned_binomials()
+        distinct = {b for b, ps in pairs.items() if len(ps) == 1}
+        distinct |= {b for b, d in degrees.items() if d > 1}
         refuted = [b for b in distinct if not is_irreducible(binomial(*b))]
         assert refuted == []
         shapes = Counter((ell, fld.degree) for fld, ell, _c in distinct)
@@ -217,19 +274,40 @@ class TestEngines:
         assert shapes[2, 2] > 0
 
     def test_split_binomials_remultiply(self):
-        # binomial_factors certifies a split answer by r^ell = c and the
-        # order of zeta, not by a product; here the product of the x - r
-        # must give back x^ell - c for every binomial these scans split
-        split = {b: pairs for b, pairs in _scanned_binomials().items() if len(pairs) > 1}
-        for (fld, ell, c), pairs in split.items():
+        # a root list is certified by r^ell = c and the order of zeta, not
+        # by a product; here the product of the x - r must give back
+        # x^ell - c for every binomial these scans take ell roots of
+        pairs, _, _ = _scanned_binomials()
+        split = {b: ps for b, ps in pairs.items() if len(ps) > 1}
+        for (fld, ell, c), ps in split.items():
             prod = Poly.one(fld)
-            for d, r in pairs:
+            for d, r in ps:
                 assert d == 1
                 prod = prod * Poly(fld, (fld.neg(r), fld.one))
             assert prod == binomial(fld, ell, c)
         shapes = {(ell, fld.degree) for fld, ell, _c in split}
         assert {ell for ell, _m in shapes} == set(SCAN_GRIDS)
         assert {m for _ell, m in shapes} > {1}
+
+    def test_binomials_split_by_degree_have_ell_roots(self):
+        # binomial_degree certifies a split answer by the norm symbol and
+        # Abel's power, with no root to check.  The reference root finder's
+        # gcd(f, x^q - x), the product of the x - r over the distinct roots
+        # r of f that roots_in_field then splits apart, must be all of
+        # f = x^ell - c for every binomial that these scans split by degree
+        _, degrees, _ = _scanned_binomials()
+        split = [b for b, d in degrees.items() if d == 1]
+        short = [b for b in split if linear_part(binomial(*b)) != binomial(*b)]
+        assert short == []
+        shapes = {(ell, fld.degree) for fld, ell, _c in split}
+        assert {ell for ell, _m in shapes} == set(SCAN_GRIDS)
+        assert {m for _ell, m in shapes} > {1}
+
+    def test_mul_calls_at_or_below_the_pinned_counts(self):
+        _, _, mul_calls = _scanned_binomials()
+        assert mul_calls.keys() == MUL_CALLS.keys()
+        over = {ell: n for ell, n in mul_calls.items() if n > MUL_CALLS[ell]}
+        assert over == {}
 
     @pytest.mark.parametrize("p,ell", list(_generic_points()))
     def test_reports_equal_generic_engine(self, monkeypatch, p, ell):
@@ -244,6 +322,11 @@ class TestEngines:
                 splitting_oracle,
                 "binomial_factors",
                 lambda fld, n, c: binomial_pairs(fld, n, c, seed=p * 1000 + n),
+            )
+            patch.setattr(
+                splitting_oracle,
+                "binomial_degree",
+                lambda fld, n, c: binomial_pairs(fld, n, c, seed=p * 1000 + n)[0][0],
             )
             patch.setattr(
                 splitting_oracle,
