@@ -306,6 +306,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stats(args) -> int:
     contexts = _contexts(args.p, args.ell)
+    _check_output(args.output)
     rows: list[dict] = []
     for ctx in contexts:
         rows.extend(histogram_rows(chebotarev_stats(ctx)))

@@ -7,14 +7,16 @@ identical across runs; across seeds the factor multiset is identical (only
 internal random choices vary).
 
 No production path factors anything: the oracle's binomials x^ell - c
-with ell | p - 1 are decided in roots and degrees by
-``heissplit.splitting_oracle.binomial_factors``, without randomness, and an
+with ell | p - 1 are decided without randomness, in roots by
+``heissplit.splitting_oracle.binomial_factors`` (the u-binomial) and in
+degrees alone by ``binomial_degree`` (the v- and z-binomials), and an
 irreducible one is certified by Abel's criterion, one field power.  The
-tests hold that function (through ``binomial_pairs``),
+tests hold both functions (through ``binomial_pairs``),
 ``finite_field.binomial_roots`` and the splitting oracle to this engine,
-answer for answer, and hold every binomial the oracle declares irreducible
-to Ben-Or's test (``is_irreducible``).  ``Factorization`` and ``binomial``
-live here with the engine, their only user.
+answer for answer, hold every binomial the oracle declares irreducible
+to Ben-Or's test (``is_irreducible``), and every binomial that
+``binomial_degree`` splits to ``linear_part``.  ``Factorization`` and
+``binomial`` live here with the engine, their only user.
 
 ``Poly``, the dense polynomial ring over any constructed finite field, and
 its division kernel (``poly_divmod`` and the ``gcd``, ``pow_mod`` and

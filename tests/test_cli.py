@@ -265,6 +265,13 @@ class TestCounts:
         assert captured.out == "p,ell,a,seed,symbol\n7,3,2,271828,2\n"
 
 
+def _replace_the_work(monkeypatch, fn):
+    """Route the computations of scan, verify and stats through ``fn``."""
+    monkeypatch.setattr(cli, "scan_point", fn)
+    monkeypatch.setattr(verification, "scan_point", fn)
+    monkeypatch.setattr(cli, "chebotarev_stats", fn)
+
+
 class TestOutputs:
     def test_output_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HEISSPLIT_OUTPUT_DIR", str(tmp_path))
@@ -281,19 +288,18 @@ class TestOutputs:
         assert code == 2 and out == ""
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
-    @pytest.mark.parametrize("command", ["scan", "verify"])
+    @pytest.mark.parametrize("command", ["scan", "verify", "stats"])
     def test_unwritable_output_fails_before_any_point(self, capsys, monkeypatch,
                                                       tmp_path, command):
         def no_point(*args):
             raise AssertionError("a point was computed")
 
-        monkeypatch.setattr(cli, "scan_point", no_point)
-        monkeypatch.setattr(verification, "scan_point", no_point)
+        _replace_the_work(monkeypatch, no_point)
         code, out, err = run(capsys, command, "-p", "13", "-l", "2", "-o", str(tmp_path))
         assert code == 2 and out == ""
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
-    @pytest.mark.parametrize("command", ["scan", "verify"])
+    @pytest.mark.parametrize("command", ["scan", "verify", "stats"])
     def test_failed_run_leaves_the_output_alone(self, capsys, monkeypatch,
                                                 tmp_path, command):
         # the check opens the target without truncating it, and removes a
@@ -301,8 +307,7 @@ class TestOutputs:
         def failing_point(*args):
             raise DegenerateValueError("injected")
 
-        monkeypatch.setattr(cli, "scan_point", failing_point)
-        monkeypatch.setattr(verification, "scan_point", failing_point)
+        _replace_the_work(monkeypatch, failing_point)
         old = tmp_path / "old.csv"
         old.write_text("kept\n")
         new = tmp_path / "sub" / "new.csv"
@@ -312,7 +317,7 @@ class TestOutputs:
         assert old.read_text() == "kept\n"
         assert not new.exists()
 
-    @pytest.mark.parametrize("command", ["scan", "verify"])
+    @pytest.mark.parametrize("command", ["scan", "verify", "stats"])
     def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, command):
         target = tmp_path / "rows.csv"
         target.write_text("stale rows that the run replaces\n" * 100)
