@@ -102,22 +102,39 @@ def _cannot_write(path: Path, exc: OSError) -> MalformedSpecError:
 def _check_output(output: str | None) -> None:
     """Fail before any work when the output target cannot be opened.
 
-    The target is opened for appending, which truncates nothing, so a run
-    that fails later leaves an existing file as it was; a file that this
-    check creates is removed again.
+    The probe leaves nothing behind. A missing target is created
+    exclusively and removed again, with the directories made for it. An
+    existing file or directory is opened for appending, which truncates
+    nothing. Any other existing target (a FIFO, a device, a dangling
+    symlink) is not opened, since opening it has effects of its own; the
+    write reports its errors.
     """
     path = _resolve_output(output)
     if path is None:
         return
+    made = []
+    parent = path.parent
+    while parent != parent.parent and not parent.exists():
+        made.append(parent)
+        parent = parent.parent
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        created = not path.exists()
-        with path.open("a"):
-            pass
-        if created:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+        except FileExistsError:
+            if path.is_file() or path.is_dir():
+                os.close(os.open(path, os.O_WRONLY | os.O_APPEND))
+        else:
+            os.close(fd)
             path.unlink()
     except OSError as exc:
         raise _cannot_write(path, exc) from None
+    finally:
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                pass
 
 
 def _emit(rows: list[dict], columns, fmt: str, output: str | None) -> None:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -315,7 +316,40 @@ class TestOutputs:
             code, out, err = run(capsys, command, "-p", "13", "-l", "2", "-o", str(target))
             assert code == 2 and out == "" and err == "error: injected\n"
         assert old.read_text() == "kept\n"
-        assert not new.exists()
+        assert not (tmp_path / "sub").exists()
+
+    def test_dangling_symlink_output_is_kept(self, capsys, monkeypatch, tmp_path):
+        # the probe does not create the link's target, so a failed run
+        # leaves the link dangling and a successful one writes through it
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target)
+
+        def failing_point(*args):
+            raise DegenerateValueError("injected")
+
+        _, expected, _ = run(capsys, "scan", "-p", "13", "-l", "2")
+        with monkeypatch.context() as m:
+            _replace_the_work(m, failing_point)
+            code, _, err = run(capsys, "scan", "-p", "13", "-l", "2", "-o", str(link))
+            assert code == 2 and err == "error: injected\n"
+        assert link.is_symlink() and not target.exists()
+        code, out, _ = run(capsys, "scan", "-p", "13", "-l", "2", "-o", str(link))
+        assert code == 0 and out == ""
+        assert link.is_symlink() and target.read_text() == expected
+
+    def test_fifo_output_is_not_probed(self, tmp_path):
+        # opening a FIFO's write end blocks until a reader comes, and closing
+        # it would hand that reader EOF before the rows
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        probe = threading.Thread(target=cli._check_output, args=(str(fifo),), daemon=True)
+        probe.start()
+        probe.join(timeout=5)
+        blocked = probe.is_alive()
+        if blocked:  # a reader releases the write end that the probe waits on
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            probe.join()
+        assert not blocked
 
     @pytest.mark.parametrize("command", ["scan", "verify", "stats"])
     def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, command):
