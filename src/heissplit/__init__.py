@@ -18,7 +18,6 @@ from .errors import (
     NonPositiveCountError,
     NotPrimeError,
     NotResidueError,
-    PolynomialityViolationError,
     PrimeOutOfRangeError,
     SymbolNotTrivialError,
     UnsupportedEllError,

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import HeisSplitError, MalformedSpecError
+from .errors import DegenerateValueError, HeisSplitError, MalformedSpecError
 from .finite_field import Context, is_prime, make_context, power_residue_symbol
 from .heis_arith import (
     a2_value,
@@ -56,7 +56,8 @@ HISTOGRAM_COLUMNS = ("p", "ell", "label", "class_size", "observed", "expected", 
 
 
 def _parse_p_spec(spec: str) -> list[int]:
-    """Expand a p list/range: "13", "13,31", "3..200" (primes in range)."""
+    """Expand a p list/range: "13", "13,31", "3..200" (primes in range).
+    A p listed twice is kept once, where it first appears."""
     spec = spec.strip()
     try:
         for sep in ("..", "-"):
@@ -65,7 +66,7 @@ def _parse_p_spec(spec: str) -> list[int]:
                 if lo_s and hi_s:
                     lo, hi = int(lo_s), int(hi_s)
                     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
+        return list(dict.fromkeys(int(tok) for tok in spec.split(",") if tok.strip()))
     except ValueError:
         raise MalformedSpecError(
             f'malformed -p {spec!r}: expected "13", "13,31" or "3..200"'
@@ -192,6 +193,8 @@ def _cmd_apoly(args) -> int:
 def _cmd_avalue(args) -> int:
     ctx = make_context(args.p, args.ell)
     a = args.a % ctx.p
+    if a in (0, 1):
+        raise DegenerateValueError("a must avoid {0, 1}")
     if ctx.ell == 2:
         value = a2_value(ctx, a)
         method = "recurrence"
@@ -241,37 +244,24 @@ def _cmd_frob(args) -> int:
 def _cmd_split(args) -> int:
     ctx = make_context(args.p, args.ell)
     a = args.a % ctx.p
-    row: dict = {
-        "p": ctx.p,
-        "ell": ctx.ell,
-        "a": a,
-        "e_alpha": None,
-        "e_beta": None,
-        "a_ell": None,
-        "predicted": None,
-        "oracle_K": None,
-        "oracle_R": None,
-        "agree": None,
-        "seed": args.seed,
-    }
-    exit_code = EXIT_OK
-    if args.mode in ("predict", "both"):
-        pred = frobenius_prediction(ctx, a)
-        row.update(
-            e_alpha=pred.e_alpha,
-            e_beta=pred.e_beta,
-            a_ell=pred.a_value,
-            predicted=pred.predicted_count,
-        )
-    if args.mode in ("oracle", "both"):
-        row["oracle_K"] = split_K(ctx, a, args.seed).prime_count
-        row["oracle_R"] = split_R(ctx, a, args.seed).prime_count
     if args.mode == "both":
-        row["agree"] = row["predicted"] == row["oracle_R"]
-        if not row["agree"]:
-            exit_code = EXIT_FAILURE
+        row = record_to_row(ctx.p, ctx.ell, args.seed, scan_point(ctx, a, args.seed))
+    else:
+        row = dict.fromkeys(SCAN_COLUMNS)
+        row.update(p=ctx.p, ell=ctx.ell, a=a, seed=args.seed)
+        if args.mode == "predict":
+            pred = frobenius_prediction(ctx, a)
+            row.update(
+                e_alpha=pred.e_alpha,
+                e_beta=pred.e_beta,
+                a_ell=pred.a_value,
+                predicted=pred.predicted_count,
+            )
+        else:
+            row["oracle_K"] = split_K(ctx, a, args.seed).prime_count
+            row["oracle_R"] = split_R(ctx, a, args.seed).prime_count
     _emit([row], SCAN_COLUMNS, args.format, args.output)
-    return exit_code
+    return EXIT_FAILURE if row["agree"] is False else EXIT_OK
 
 
 def _cmd_scan(args) -> int:

@@ -52,17 +52,15 @@ class NotResidueError(HeisSplitError):
     """a has no ell-th root in F_p where one is required."""
 
 
-class PolynomialityViolationError(HeisSplitError):
-    """Symbolic expansion produced exponents not divisible by ell (a bug)."""
-
-
 class ExpansionTooLargeError(HeisSplitError):
     """The polynomial expansion of A_ell at this (p, ell) is longer than the
     documented cap (``heis_arith.MAX_EXPANSION_COEFFS``)."""
 
 
 class NoRootOfUnityError(HeisSplitError):
-    """The field contains no element of multiplicative order ell."""
+    """No element of multiplicative order ell where one is required: a
+    ``Context`` whose zeta is 1 or has zeta^ell != 1 mod p, or a field
+    whose order q has ell not dividing q - 1."""
 
 
 class UnsupportedEllError(HeisSplitError):

@@ -26,10 +26,13 @@ Comp. 2009), reduced by folding the high slots back through precomputed
 packed rows x^k mod modulus.  Slots of w = 2*bitlen(p-1) + bitlen(2m) bits
 hold every sum, which stays below (2m-1)(p-1)^2, so none carries, provided
 the operands are canonical (m entries in [0, p)); every operation here
-returns canonical elements.  ``epsilon_value`` is the one definition of the
-unit product eps that defines the cover, shared by the criterion and the
-oracle.  ell-th roots, ``lth_root`` included, come from one certified
-algorithm: ``binomial_roots`` (Adleman-Manders-Miller, FOCS 1977, with a
+returns canonical elements.  A ``Context`` is (p, ell, zeta), and its
+construction certifies that zeta has order ell in F_p^*, the one check
+that the symbol, eps and the criterion's contraction rely on.
+``epsilon_value`` is the one definition of the unit product eps that
+defines the cover, shared by the criterion and the oracle.  ell-th roots,
+``lth_root`` included, come from one certified algorithm:
+``binomial_roots`` (Adleman-Manders-Miller, FOCS 1977, with a
 Pohlig-Hellman digit loop, IEEE Trans. Inf. Theory 1978), checked by
 r^ell = c.  Everything in it that depends only on the field, the ell-Sylow
 generator g, the digit map zeta^d -> d and the step table g^(-d ell^k),
@@ -50,6 +53,7 @@ from functools import lru_cache
 from .errors import (
     DegenerateSpecializationError,
     DivisibilityError,
+    NoRootOfUnityError,
     NotPrimeError,
     PrimeOutOfRangeError,
     ZeroArgumentError,
@@ -407,14 +411,22 @@ def build_extension(p: int, m: int) -> PrimeField | ExtField:
 class Context:
     """Ambient arithmetic data for a prime pair (p, ell) with ell | p - 1.
 
-    ``g`` is the smallest primitive root mod p and ``zeta`` = g^((p-1)/ell)
-    has multiplicative order exactly ell.
+    ``zeta`` has multiplicative order exactly ell mod p.  Construction
+    certifies it: zeta != 1 and zeta^ell = 1, which for prime ell (as
+    ``make_context`` requires) is order ell.  Any other zeta raises
+    NoRootOfUnityError, also under ``python -O``.  ``make_context`` picks
+    zeta = g^((p-1)/ell) for the smallest primitive root g.
     """
 
     p: int
     ell: int
-    g: int
     zeta: int
+
+    def __post_init__(self):
+        if self.zeta % self.p == 1 or pow(self.zeta, self.ell, self.p) != 1:
+            raise NoRootOfUnityError(
+                f"zeta = {self.zeta} does not have order {self.ell} mod {self.p}"
+            )
 
     @property
     def field(self) -> PrimeField:
@@ -427,7 +439,7 @@ class Context:
 
 
 def make_context(p: int, ell: int) -> Context:
-    """Validate (p, ell) and fix the canonical generator and root of unity."""
+    """Validate (p, ell) and fix the canonical root of unity."""
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} is not prime")
     if p >= MAX_PRIME:
@@ -436,10 +448,7 @@ def make_context(p: int, ell: int) -> Context:
         raise NotPrimeError(f"ell = {ell} is not prime")
     if (p - 1) % ell != 0:
         raise DivisibilityError(f"ell = {ell} does not divide p - 1 = {p - 1}")
-    g = primitive_root(p)
-    zeta = pow(g, (p - 1) // ell, p)
-    assert pow(zeta, ell, p) == 1 and zeta != 1
-    return Context(p=p, ell=ell, g=g, zeta=zeta)
+    return Context(p=p, ell=ell, zeta=pow(primitive_root(p), (p - 1) // ell, p))
 
 
 def power_residue_symbol(ctx: Context, a: int) -> int:

@@ -21,12 +21,12 @@ Both cases are polynomials in a with F_p coefficients (for ell = 2 the sum
 over shifts is the binomial form above).  Since eps_n(x) = eps_0(zeta^n x),
 the shifted powers are one power with its coefficient of x^k scaled by
 zeta^(nk), and the sum scales it by sum_n zeta^(nk), which is ell when
-ell | k and 0 otherwise.  ``expand_a_poly`` powers eps_0 once, forms that
-sum, checks the cancellation that makes the contraction legal, and returns
-a tuple of F_p ints; ``packed_a_poly`` caches it once per context in the
-packed form that the predictions' cross-checks evaluate.  eps has one
-definition, ``finite_field.epsilon_value``, shared with the oracle: it
-defines the cover, not the criterion.
+ell | k and 0 otherwise, because ``Context`` certifies that zeta has order
+ell.  So ``expand_a_poly`` powers eps_0 once, keeps every ell-th
+coefficient, and returns a tuple of F_p ints; ``packed_a_poly`` caches it
+once per context in the packed form that the predictions' cross-checks
+evaluate.  eps has one definition, ``finite_field.epsilon_value``, shared
+with the oracle: it defines the cover, not the criterion.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     DegenerateValueError,
     ExpansionTooLargeError,
     NotResidueError,
-    PolynomialityViolationError,
     WrongEllError,
 )
 from .finite_field import (
@@ -158,26 +157,24 @@ def expand_a_poly(ctx: Context) -> tuple[int, ...]:
     """A_ell's coefficients in F_p, lowest degree first, no trailing zero.
     Each call expands afresh; ``packed_a_poly`` is the per-context cache.
 
-    Expands sum_n eps_n(s)^((p-1)/ell) with s an indeterminate standing for
-    an ell-th root of a, verifies that only exponents divisible by ell
-    survive (raising PolynomialityViolationError otherwise, which would be a
-    bug), contracts s^ell -> a and divides by ell.  Since eps_n(s) =
-    eps_0(zeta^n s), the sum has coefficients c_k sigma_k, where c_k are the
-    coefficients of eps_0(s)^((p-1)/ell) and sigma_k = sum_n zeta^(nk); so
-    eps_0 is powered once, and sigma is summed over one period of the powers
-    of ``ctx.zeta`` (ell of them when zeta is a primitive ell-th root of
-    unity).  Raises ExpansionTooLargeError, before expanding anything, when
-    the power would have more than MAX_EXPANSION_COEFFS coefficients.
+    A_ell(a) = (1/ell) sum_n eps_n(s)^((p-1)/ell), with s an ell-th root of
+    a.  Since eps_n(s) = eps_0(zeta^n s), the sum has coefficients
+    c_k sigma_k, where c_k are the coefficients of eps_0(s)^((p-1)/ell) and
+    sigma_k = sum_n zeta^(nk).  zeta has order ell (``Context`` certifies
+    it), so sigma_k is ell when ell | k and 0 otherwise: A_ell's
+    coefficient of a^j is c_(ell j).  So eps_0 is powered once and every
+    ell-th coefficient kept.  Raises ExpansionTooLargeError, before
+    expanding anything, when the power would have more than
+    MAX_EXPANSION_COEFFS coefficients.
 
     Cost: for ell = 2 the base is linear, and its (p - 1)/2-th power is the
     binomial expansion in O(p) modular multiplications.  For ell >= 3 the
     base has degree ell(ell - 1)/2 and is powered by about log2(p) Kronecker
     products, the last one of about (ell - 1) p / 2 coefficients, so
-    CPython's Karatsuba multiply sets the cost.  Scaling by sigma, the
-    contraction and the divisibility check are list comprehensions and
-    slices.  Measured on a shared 2-core host (best of 7, or of 3 for
-    (100003, 3)): (200003, 2) 55 ms, (1117, 3) 1.8 ms, (10009, 3) 26 ms,
-    (2011, 5) 7 ms, (547, 7) 2.3 ms, (100003, 3) 0.70 s.
+    CPython's Karatsuba multiply sets the cost.  The contraction is one
+    slice.  Measured on a shared 2-core host (best of 7, or of 3 for
+    (100003, 3), CPython 3.11): (200003, 2) 33 ms, (1117, 3) 1.4 ms,
+    (10009, 3) 22 ms, (2011, 5) 5.9 ms, (547, 7) 1.9 ms, (100003, 3) 0.64 s.
     """
     p, ell, zeta = ctx.p, ctx.ell, ctx.zeta
     length = (ell - 1) * (p - 1) // 2 + 1
@@ -193,24 +190,7 @@ def expand_a_poly(ctx: Context) -> tuple[int, ...]:
         w = w * zeta % p
     coeffs = power(base, (p - 1) // ell, p)
     assert len(coeffs) <= length
-    # sigma[r] = sum_n (zeta^r)^n for r over one period of zeta's powers,
-    # cut at len(coeffs) when the period is longer (a zeta of high order)
-    sigma = []
-    z = 1
-    while len(sigma) < len(coeffs) and (z != 1 or not sigma):
-        sigma.append(sum(pow(z, n, p) for n in range(ell)) % p)
-        z = z * zeta % p
-    period = len(sigma)
-    total = [0] * len(coeffs)
-    for r, sig in enumerate(sigma):
-        total[r::period] = [c * sig % p for c in coeffs[r::period]]
-    if any(any(total[r::ell]) for r in range(1, ell)):
-        d = next(d for d, c in enumerate(total) if d % ell != 0 and c != 0)
-        raise PolynomialityViolationError(
-            f"exponent {d} not divisible by {ell} survived expansion"
-        )
-    inv_ell = pow(ell, -1, p)
-    contracted = [c * inv_ell % p for c in total[::ell]]
+    contracted = coeffs[::ell]
     while contracted and contracted[-1] == 0:
         contracted.pop()
     return tuple(contracted)

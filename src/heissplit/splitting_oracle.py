@@ -12,12 +12,13 @@ F_q = F_{p^m} with ell | p - 1 (zeta lies in F_p): ell linear factors when
 c is an ell-th power, irreducible otherwise (Lidl-Niederreiter, *Finite
 Fields*, Thm 3.75), and c^((q-1)/ell) = N(c)^((p-1)/ell), with N the norm
 to F_p, decides which.  Only the u-binomial u^ell - a gets roots, because
-its root is the image of u at which eps is evaluated: ``binomial_factors``
-returns one (degree, root) pair per factor.  Its roots r * zeta^i, for one
-ell-th root r of c certified by r^ell = c and a zeta certified once per
-field to have order ell, are ell distinct roots: all of them.  An
-irreducible u-binomial is certified by Abel's criterion, c^((q-1)/ell) != 1
-taken as one field power apart from the norm.  Of the v-binomial
+its root is the image of u at which eps is evaluated.  Over F_p,
+``binomial_roots`` returns all ell of them or none: one ell-th root r of
+a, certified by r^ell = a, times the powers of a zeta certified once per
+field to have order ell.  An inert u-binomial gets one root over
+F_{p^ell}, and that root is its certificate: r^ell = a is asserted where r
+is made, and ``_k_primes`` asserts that r lies outside F_p, so r has
+degree ell over F_p and u^ell - a is irreducible.  Of the v-binomial
 v^ell - (1 - a) and the z-binomial z^ell - epsbar only the factor degree is
 read, so ``binomial_degree`` computes no root: it decides by the norm
 symbol N(c)^((p-1)/ell) and asserts that Abel's power c^((q-1)/ell), taken
@@ -102,36 +103,6 @@ class _KPrime:
     v_index: int
 
 
-def binomial_factors(fld, ell: int, c) -> tuple[tuple[int, object], ...]:
-    """One (degree, root) pair per monic irreducible factor of x^ell - c
-    over ``fld``, with no randomness: (1, r) for each root r, sorted by the
-    key of the factor's constant term -r, or ((ell, None),) when the
-    binomial is irreducible.  The oracle calls it for the u-binomial only,
-    whose root it needs; ``binomial_degree`` answers where only the degree
-    is read.
-
-    An irreducible answer is certified by Abel's theorem: for ell prime,
-    x^ell - c is irreducible over F_q iff c is not an ell-th power (Lang,
-    *Algebra*, VI Thm 9.1), i.e. iff c^((q-1)/ell) != 1.  That power is
-    taken by ``fld.pow``, square-and-multiply in O(log q) field products,
-    independently of the norm N(c)^((p-1)/ell) through the Frobenius
-    matrix that ``binomial_roots`` decides by.  A split answer's roots
-    r * zeta^i are certified where they are made, by r^ell = c and the
-    order of zeta.
-
-    Requires ell prime (else NotPrimeError), ell | p - 1 (else
-    DivisibilityError) and c != 0 (else ZeroArgumentError).
-    """
-    roots = binomial_roots(fld, ell, c)
-    if not roots:
-        assert fld.pow(c, (fld.order - 1) // ell) != fld.one, (
-            "certificate: c is not an ell-th power, so x^ell - c is irreducible"
-        )
-        return ((ell, None),)
-    roots = sorted(roots, key=lambda r: fld.elem_key(fld.neg(r)))
-    return tuple((1, r) for r in roots)
-
-
 def binomial_degree(fld, ell: int, c) -> int:
     """Degree of each monic irreducible factor of x^ell - c over ``fld``:
     1 when the binomial splits, ell when it is irreducible.  No root is
@@ -145,7 +116,7 @@ def binomial_degree(fld, ell: int, c) -> int:
     linear factors when it is 1 and is irreducible otherwise (Lang,
     *Algebra*, VI Thm 9.1).
 
-    Requires ell prime, ell | p - 1 and c != 0, as ``binomial_factors``
+    Requires ell prime, ell | p - 1 and c != 0, as ``binomial_roots``
     does; the oracle's contexts guarantee all three.
     """
     p = fld.p
@@ -172,27 +143,38 @@ KPRIME_CACHE_SIZE = 8
 def _k_primes(ctx: Context, a: int) -> tuple[_KPrime, ...]:
     """Primes of K above (t - a), with flattened residue fields.
 
-    Cached so that split_K and split_R at the same point share the work.
+    The u-binomial u^ell - a has ell roots in F_p or none.  With none it
+    is irreducible, and one root in F_{p^ell} stands for its one factor.
+    All K-primes are conjugate, so the v-binomial's degree is decided once,
+    over that u-field.  Cached so that split_K and split_R at the same
+    point share the work.
     """
     p, ell = ctx.p, ctx.ell
-    out = []
-    for iu, (m, x_mid) in enumerate(binomial_factors(prime_field(p), ell, a)):
-        mid = build_extension(p, m)
-        if m > 1:
-            # u^ell - a is irreducible over F_p and splits over F_{p^ell}
-            x_mid = binomial_roots(mid, ell, mid.embed(a))[0]
-        d = binomial_degree(mid, ell, mid.embed((1 - a) % p))
-        fld, x = mid, x_mid
-        if d > 1:
-            # every element of F_p is an ell-th power in F_{p^ell}
-            # (p - 1 divides (p^ell - 1)/ell as p = 1 mod ell), so the
-            # v-binomial splits when m = ell: x_mid is in F_p here
-            assert m == 1, "the v-binomial splits over F_{p^ell}"
-            fld = build_extension(p, d)
-            x = fld.embed(x_mid)
-        # one K-prime per factor: ell of degree m, or one of degree ell
-        out.extend(_KPrime(fld, x, m * d, iu, iv) for iv in range(ell // d))
-    return tuple(out)
+    mid = prime_field(p)
+    xs = binomial_roots(mid, ell, a)
+    if not xs:
+        mid = build_extension(p, ell)
+        xs = binomial_roots(mid, ell, mid.embed(a))[:1]
+        # r^ell = a with r outside F_p: r has degree ell over F_p, so
+        # u^ell - a is its minimal polynomial
+        assert any(xs[0][1:]), "certificate: the inert u-binomial's root is not in F_p"
+    m = mid.degree
+    d = binomial_degree(mid, ell, mid.embed((1 - a) % p))
+    fld = mid
+    if d > 1:
+        # every element of F_p is an ell-th power in F_{p^ell}
+        # (p - 1 divides (p^ell - 1)/ell as p = 1 mod ell), so the
+        # v-binomial splits when m = ell: the xs are in F_p here
+        assert m == 1, "the v-binomial splits over F_{p^ell}"
+        fld = build_extension(p, d)
+        xs = [fld.embed(x) for x in xs]
+    # one K-prime per (u-root, v-factor): ell of degree m per u-root, or
+    # one of degree ell
+    return tuple(
+        _KPrime(fld, x, m * d, iu, iv)
+        for iu, x in enumerate(xs)
+        for iv in range(ell // d)
+    )
 
 
 def split_K(ctx: Context, a: int, seed: int) -> SplitReport:

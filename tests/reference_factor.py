@@ -8,13 +8,12 @@ internal random choices vary).
 
 No production path factors anything: the oracle's binomials x^ell - c
 with ell | p - 1 are decided without randomness, in roots by
-``heissplit.splitting_oracle.binomial_factors`` (the u-binomial) and in
-degrees alone by ``binomial_degree`` (the v- and z-binomials), and an
-irreducible one is certified by Abel's criterion, one field power.  The
-tests hold both functions (through ``binomial_pairs``),
-``finite_field.binomial_roots`` and the splitting oracle to this engine,
-answer for answer, hold every binomial the oracle declares irreducible
-to Ben-Or's test (``is_irreducible``), and every binomial that
+``heissplit.finite_field.binomial_roots`` (the u-binomial) and in degrees
+alone by ``heissplit.splitting_oracle.binomial_degree`` (the v- and
+z-binomials, certified by Abel's criterion, one field power).  The tests
+hold both functions (through ``binomial_pairs``) and the splitting oracle
+to this engine, answer for answer, hold every binomial the oracle declares
+irreducible to Ben-Or's test (``is_irreducible``), and every binomial that
 ``binomial_degree`` splits to ``linear_part``.  ``Factorization`` and
 ``binomial`` live here with the engine, their only user.
 
@@ -443,9 +442,8 @@ def factor(f: Poly, seed: int) -> Factorization:
 
 
 def binomial_pairs(fld, ell: int, c, seed: int) -> tuple[tuple[int, object], ...]:
-    """``factor`` of x^ell - c in the form of
-    ``splitting_oracle.binomial_factors``: one (degree, root) pair per
-    factor, the root of a linear factor and None for any other.  A binomial
+    """``factor`` of x^ell - c as one (degree, root) pair per factor, the
+    root of a linear factor and None for any other.  A binomial
     with ell | q - 1 and c != 0 is squarefree and monic, which is asserted.
     """
     fac = factor(binomial(fld, ell, c), seed)

@@ -345,8 +345,9 @@ def test_criterion_8_curve_cross_check(l2_scans):
 
 
 def test_criterion_9_polynomiality():
-    """expand_a_poly never raises PolynomialityViolation on any tested
-    (p, ell), and its output has the expected shape."""
+    """expand_a_poly raises nothing on any tested (p, ell), and its output
+    has the expected shape.  That the sum of shifts leaves only exponents
+    divisible by ell is held to the long-way sum in test_heis_arith."""
     t0 = time.time()
     failures = []
     tested = 0

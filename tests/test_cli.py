@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, job files, parallelism."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -60,6 +61,14 @@ class TestPSpec:
         assert _parse_p_spec("3..20") == [3, 5, 7, 11, 13, 17, 19]
         assert _parse_p_spec("3-20") == [3, 5, 7, 11, 13, 17, 19]
 
+    def test_repeats_keep_the_first_place(self):
+        assert _parse_p_spec("13,31,13,7,31") == [13, 31, 7]
+
+    @pytest.mark.parametrize("command", ["scan", "verify", "stats"])
+    def test_repeated_p_is_run_once(self, capsys, command):
+        once = run(capsys, command, "-p", "13,7", "-l", "3")
+        assert run(capsys, command, "-p", "13,7,13", "-l", "3") == once
+
 
 class TestSplit:
     def test_both_example(self, capsys):
@@ -81,6 +90,32 @@ class TestSplit:
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
         assert row[6] == "8" and row[7] == "" and row[8] == ""
+
+    @pytest.mark.parametrize("agree", [True, False])
+    @pytest.mark.parametrize(
+        "p,ell,a", [(13, 2, 4), (13, 2, 6), (31, 3, 2), (31, 3, 5), (11, 5, 3)]
+    )
+    def test_both_equals_the_scan_row(self, capsys, monkeypatch, p, ell, a, agree):
+        # split --both is scan at one point: the same CSV row and exit
+        # code, also where the prediction disagrees with the oracle
+        if not agree:
+            predict = verification.frobenius_prediction
+
+            def off_by_one_at_a(ctx, b):
+                pred = predict(ctx, b)
+                if b != a:
+                    return pred
+                return dataclasses.replace(pred, predicted_count=pred.predicted_count + 1)
+
+            monkeypatch.setattr(verification, "frobenius_prediction", off_by_one_at_a)
+        argv = ("-p", str(p), "-l", str(ell))
+        code, out, _ = run(capsys, "split", "--both", *argv, "-a", str(a))
+        header, row = out.splitlines()
+        scan_code, scan_out, _ = run(capsys, "scan", *argv)
+        scan_header, *scan_rows = scan_out.splitlines()
+        assert header == scan_header
+        assert [r for r in scan_rows if r.split(",")[2] == str(a)] == [row]
+        assert code == scan_code == (0 if agree else 1)
 
 
 class TestSimpleCommands:
@@ -137,6 +172,14 @@ class TestSimpleCommands:
                            "--format", "json")
         rec = json.loads(out)[0]
         assert rec["method"] == "poly"
+
+    @pytest.mark.parametrize("p,ell,a", [
+        (7, 2, 0), (7, 2, 1), (7, 3, 0), (7, 3, 1), (7, 3, 8), (11, 5, 1), (29, 7, 0),
+    ])
+    def test_avalue_degenerate_a_exit_2(self, capsys, p, ell, a):
+        # every ell refuses a in {0, 1} with the same typed error
+        code, out, err = run(capsys, "avalue", "-p", str(p), "-l", str(ell), "-a", str(a))
+        assert (code, out, err) == (2, "", "error: a must avoid {0, 1}\n")
 
     def test_frob(self, capsys):
         code, out, _ = run(capsys, "frob", "-p", "5", "-l", "2", "-a", "4",

@@ -32,7 +32,6 @@ from heissplit import (
     primitive_root,
 )
 from heissplit.finite_field import _ell_sylow
-from heissplit.splitting_oracle import binomial_factors
 from reference_factor import Poly, is_irreducible, poly_x, pow_mod
 
 SMALL_CONTEXTS = [(13, 2), (5, 2), (7, 3), (31, 3), (11, 5), (199, 2), (43, 7)]
@@ -157,8 +156,8 @@ class TestMakeContext:
         assert ctx.zeta == 12
 
     def test_example_7_3(self):
-        ctx = make_context(7, 3)
-        assert ctx.g == 3 and ctx.zeta == 2
+        # the smallest primitive root 3, to the power (7 - 1)/3
+        assert make_context(7, 3) == Context(p=7, ell=3, zeta=2)
 
     def test_divisibility_failure(self):
         with pytest.raises(DivisibilityError):
@@ -570,8 +569,6 @@ class TestFrobeniusNormPow:
         c = fld.embed(1)
         with pytest.raises(DivisibilityError):
             binomial_roots(fld, 3, c)
-        with pytest.raises(DivisibilityError):
-            binomial_factors(fld, 3, c)
 
 
 class TestPrimeFieldOps:

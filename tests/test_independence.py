@@ -166,9 +166,9 @@ PUBLIC_NAMES = [
     "ExtField", "FrobPrediction", "HeisElem", "HeisSplitError",
     "MalformedSpecError", "MixedModulusError", "NoRootOfUnityError",
     "NonPositiveCountError", "NotPrimeError", "NotResidueError",
-    "PolynomialityViolationError", "PrimeField", "PrimeOutOfRangeError",
-    "ScanRecord", "ScanResult", "SplitReport", "SymbolNotTrivialError",
-    "UnsupportedEllError", "WrongEllError", "ZeroArgumentError", "a2_value",
+    "PrimeField", "PrimeOutOfRangeError", "ScanRecord", "ScanResult",
+    "SplitReport", "SymbolNotTrivialError", "UnsupportedEllError",
+    "WrongEllError", "ZeroArgumentError", "a2_value",
     "a_ell_value", "a_poly_eval", "admissible_values",
     "binomial_roots", "build_extension", "chebotarev_stats", "check_block_det",
     "class_label", "classify_a2", "conjugacy_classes", "derive_seed",

@@ -23,6 +23,8 @@ import pytest
 import heissplit
 from heissplit import (
     ExtField,
+    NoRootOfUnityError,
+    PrimeField,
     build_extension,
     finite_field,
     heis_arith,
@@ -163,18 +165,21 @@ def test_norm_with_a_corrupt_frobenius(monkeypatch):
     fld.norm((1, 1))
 
 
-@fires("finite_field", "make_context", "pow(zeta, ell, p) == 1 and zeta != 1")
 def test_context_with_a_wrong_generator(monkeypatch):
+    # not ledgered: Context certifies zeta with an explicit raise, which
+    # holds under python -O.  A generator of 1 gives zeta = 1
     monkeypatch.setattr(finite_field, "primitive_root", lambda p: 1)
-    make_context(13, 3)
+    with pytest.raises(NoRootOfUnityError):
+        make_context(13, 3)
 
 
 @fires("finite_field", "zeta_index", 'raise AssertionError("value is not a power of zeta")')
-def test_symbol_against_a_corrupt_zeta():
-    # 2^4 = 3 mod 13 is a primitive cube root of unity, which zeta = 1 never
-    # reaches
-    ctx = dataclasses.replace(make_context(13, 3), zeta=1)
-    power_residue_symbol(ctx, 2)
+def test_symbol_against_a_corrupt_cofactor(monkeypatch):
+    # Context rejects a zeta of the wrong order, and any zeta of order 3
+    # reaches every cube root of unity; a cofactor of 1 hands zeta_index
+    # 2^1 = 2, no cube root of unity mod 13
+    monkeypatch.setattr(finite_field.Context, "cofactor", property(lambda self: 1))
+    power_residue_symbol(make_context(13, 3), 2)
 
 
 @fires("finite_field", "_ell_sylow", "zeta != fld.one and fld.pow(zeta, ell) == fld.one")
@@ -246,12 +251,12 @@ def test_expansion_with_a_power_of_wrong_degree(monkeypatch):
 
 @fires("heis_arith", "a_ell_value", "all(v == val for v in shifted)")
 def test_a_ell_with_a_shift_dependent_eps(monkeypatch):
-    # shifts n > 0 scaled by the primitive root g: their powers pick up
-    # g^10 = zeta != 1
+    # shifts n > 0 scaled by the primitive root g = 3: their powers pick
+    # up g^10 = zeta != 1
     eps = heis_arith.epsilon_value
 
     def scaled(ctx, x, shift=0, field=None):
-        return eps(ctx, x, shift) * (ctx.g if shift else 1) % ctx.p
+        return eps(ctx, x, shift) * (3 if shift else 1) % ctx.p
 
     monkeypatch.setattr(heis_arith, "epsilon_value", scaled)
     heis_arith.a_ell_value(C31_3, A31)
@@ -282,16 +287,6 @@ def test_prediction_with_a_wrong_element_order(monkeypatch):
 
 
 # -- splitting_oracle ---------------------------------------------------------
-
-
-@fires("splitting_oracle", "binomial_factors",
-       "fld.pow(c, (fld.order - 1) // ell) != fld.one")
-def test_abel_certificate_against_a_lying_norm(monkeypatch):
-    # a norm of 2, no square mod 13, makes binomial_roots declare the
-    # square 4 a non-square
-    fld = build_extension(13, 2)
-    monkeypatch.setattr(ExtField, "norm", lambda self, a: 2)
-    splitting_oracle.binomial_factors(fld, 2, fld.embed(4))
 
 
 @fires("splitting_oracle", "binomial_degree",
@@ -326,6 +321,15 @@ def test_v_binomial_irreducible_over_the_u_field(monkeypatch):
 # a = 4 mod 13: 4 and 1 - 4 = 10 are squares, so four degree-1 K-primes
 # and eight degree-1 R-primes
 A13 = 4
+
+
+@fires("splitting_oracle", "_k_primes", "any(xs[0][1:])")
+def test_inert_u_binomial_against_a_lying_norm(monkeypatch):
+    # a norm of 2, no square mod 13, makes the prime-field decision call
+    # the square 4 a non-square; the root of u^2 - 4 taken over F_{13^2}
+    # is then 2 or -2, which lies in F_13
+    monkeypatch.setattr(PrimeField, "norm", lambda self, a: 2)
+    splitting_oracle.split_K(C13_2, A13, 0)
 
 
 @fires("splitting_oracle", "split_K", "sum(degrees) == ell * ell")
@@ -368,7 +372,7 @@ def test_split_r_with_a_shifted_eps_off_by_a_non_square(monkeypatch):
     eps = splitting_oracle.epsilon_value
 
     def scaled(ctx, x, shift=0, field=None):
-        return field.mul(eps(ctx, x, shift, field), field.embed(ctx.g if shift else 1))
+        return field.mul(eps(ctx, x, shift, field), field.embed(2 if shift else 1))
 
     monkeypatch.setattr(splitting_oracle, "epsilon_value", scaled)
     splitting_oracle.split_R(C13_2, A13, 0)

@@ -1,6 +1,6 @@
 """Polynomial arithmetic (the package's F_p kernels and the reference
-ring), the oracle's binomial factors, and the generic reference engine
-they are held to."""
+ring), the oracle's binomial roots and degrees, and the generic reference
+engine they are held to."""
 
 import random
 from math import comb
@@ -20,10 +20,9 @@ from heissplit import (
     make_context,
     power_residue_symbol,
     prime_field,
-    splitting_oracle,
 )
 from heissplit.polynomial import PackedPoly, kronecker_mul, power
-from heissplit.splitting_oracle import binomial_factors
+from heissplit.splitting_oracle import binomial_degree
 from reference_factor import (
     NotSquarefreeError,
     Poly,
@@ -315,8 +314,19 @@ class TestFactor:
             assert fac.expand() == binomial(ext, 2, c)
 
 
+def matches_reference(fld, ell, c, seed) -> int:
+    """Hold binomial_roots and binomial_degree to the generic engine's
+    factorization of x^ell - c: the roots of its linear factors, and the
+    one degree of all its factors.  Returns the number of factors."""
+    pairs = binomial_pairs(fld, ell, c, seed)
+    linear = sorted((r for d, r in pairs if d == 1), key=fld.elem_key)
+    assert binomial_roots(fld, ell, c) == tuple(linear)
+    assert {d for d, _r in pairs} == {binomial_degree(fld, ell, c)}
+    return len(pairs)
+
+
 class TestFactorBinomial:
-    """The oracle's binomial factors against the generic engine."""
+    """The oracle's binomial roots and degrees against the generic engine."""
 
     @pytest.mark.parametrize("p,ell", [(13, 2), (7, 3), (11, 5), (29, 7)])
     @pytest.mark.parametrize("m", [1, 2, "ell"])
@@ -336,9 +346,7 @@ class TestFactorBinomial:
         for c in cs:
             if c == fld.zero:
                 continue
-            pairs = binomial_factors(fld, ell, c)
-            assert pairs == binomial_pairs(fld, ell, c, seed=rng.randrange(2**32))
-            shapes.add(len(pairs))
+            shapes.add(matches_reference(fld, ell, c, seed=rng.randrange(2**32)))
         assert shapes == {1, ell}
 
     @pytest.mark.parametrize(
@@ -362,7 +370,7 @@ class TestFactorBinomial:
             cs = xs + [fld.pow(x, ell) for x in xs]
         for c in cs:
             if c != fld.zero:
-                assert binomial_factors(fld, ell, c) == binomial_pairs(fld, ell, c, seed=fld.elem_key(c))
+                matches_reference(fld, ell, c, seed=fld.elem_key(c))
 
     @pytest.mark.parametrize("p,ell", [(13, 2), (7, 3), (11, 5), (29, 7)])
     def test_roots_equal_roots_in_field(self, p, ell):
@@ -379,31 +387,32 @@ class TestFactorBinomial:
 
     def test_rejects_ell_not_dividing_q_minus_1(self):
         with pytest.raises(DivisibilityError):
-            binomial_factors(F7, 5, 3)
+            binomial_roots(F7, 5, 3)
         with pytest.raises(DivisibilityError):
-            binomial_factors(build_extension(5, 2), 5, (1, 1))
+            binomial_roots(build_extension(5, 2), 5, (1, 1))
         with pytest.raises(DivisibilityError):
             binomial_roots(F5, 3, 2)
 
     def test_rejects_zero_constant(self):
         with pytest.raises(ZeroArgumentError):
-            binomial_factors(F7, 3, 0)
+            binomial_roots(F7, 3, 0)
         ext = build_extension(7, 3)
         with pytest.raises(ZeroArgumentError):
             binomial_roots(ext, 3, ext.zero)
 
     def test_rejects_composite_ell(self):
         with pytest.raises(NotPrimeError):
-            binomial_factors(prime_field(13), 4, 3)
+            binomial_roots(prime_field(13), 4, 3)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_abel_certificate_fires(self, monkeypatch, m):
-        # with its roots withheld, x^2 - 4 = (x - 2)(x + 2) reaches the
-        # irreducible branch, whose certificate must refuse it
+        # a norm of 2, no square mod 13, makes the norm symbol call the
+        # square 4 a non-square; Abel's power 4^((q-1)/2) = 1, taken apart
+        # from the norm, must refuse that answer
         fld = build_extension(13, m)
-        monkeypatch.setattr(splitting_oracle, "binomial_roots", lambda *args: ())
-        with pytest.raises(AssertionError, match="c is not an ell-th power"):
-            binomial_factors(fld, 2, fld.embed(4))
+        monkeypatch.setattr(type(fld), "norm", lambda self, a: 2)
+        with pytest.raises(AssertionError, match="the norm symbol agrees with Abel's power"):
+            binomial_degree(fld, 2, fld.embed(4))
 
     def test_root_certificate_fires_on_a_corrupt_step_table(self, monkeypatch):
         # F_17: q - 1 = 2^4, t = 1, g = 3.  For c = 9, r starts at c^0 = 1 and

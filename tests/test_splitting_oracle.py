@@ -208,25 +208,20 @@ def _scanned_binomials() -> tuple[dict, dict, dict]:
     """One recording scan of SCAN_GRIDS: (pairs, degrees, mul_calls).
 
     ``pairs`` maps (field, ell, c) to the (degree, root) pairs of every
-    binomial the oracle takes roots of, through binomial_factors or, for a
-    u-binomial over F_{p^ell}, binomial_roots; ``degrees`` maps it to the
+    binomial the oracle takes roots of through binomial_roots: (1, r) per
+    root, or ((ell, None),) when it has none; ``degrees`` maps it to the
     answer of binomial_degree for every binomial decided by degree alone;
     ``mul_calls`` maps ell to the ExtField.mul calls of its scan, counted
     with the caches emptied first."""
     pairs, degrees, mul_calls = {}, {}, {}
-    factors = splitting_oracle.binomial_factors
     roots = splitting_oracle.binomial_roots
     degree = splitting_oracle.binomial_degree
     mul = ExtField.mul
     calls = 0
 
-    def recording_factors(fld, ell, c):
-        pairs[fld, ell, c] = factors(fld, ell, c)
-        return pairs[fld, ell, c]
-
     def recording_roots(fld, ell, c):
         rs = roots(fld, ell, c)
-        pairs[fld, ell, c] = tuple((1, r) for r in rs)
+        pairs[fld, ell, c] = tuple((1, r) for r in rs) or ((ell, None),)
         return rs
 
     def recording_degree(fld, ell, c):
@@ -239,7 +234,6 @@ def _scanned_binomials() -> tuple[dict, dict, dict]:
         return mul(self, a, b)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(splitting_oracle, "binomial_factors", recording_factors)
         patch.setattr(splitting_oracle, "binomial_roots", recording_roots)
         patch.setattr(splitting_oracle, "binomial_degree", recording_degree)
         patch.setattr(ExtField, "mul", counting_mul)
@@ -258,10 +252,11 @@ def _scanned_binomials() -> tuple[dict, dict, dict]:
 
 class TestEngines:
     def test_irreducible_binomials_pass_ben_or(self):
-        # an irreducible binomial is certified by Abel's criterion, one
-        # field power: alone in binomial_factors, against the norm symbol in
-        # binomial_degree; Ben-Or's test, separate code, must agree on every
-        # binomial that these scans declare irreducible
+        # an irreducible u-binomial over F_p is certified by its root over
+        # F_{p^ell}, which lies outside F_p; one decided by degree, by
+        # Abel's power against the norm symbol.  Ben-Or's test, separate
+        # code, must agree on every binomial that these scans declare
+        # irreducible
         pairs, degrees, _ = _scanned_binomials()
         distinct = {b for b, ps in pairs.items() if len(ps) == 1}
         distinct |= {b for b, d in degrees.items() if d > 1}
@@ -318,11 +313,6 @@ class TestEngines:
         splitting_oracle._k_primes.cache_clear()
         fast = [(split_K(ctx, a, 5), split_R(ctx, a, 5)) for a in values]
         with monkeypatch.context() as patch:
-            patch.setattr(
-                splitting_oracle,
-                "binomial_factors",
-                lambda fld, n, c: binomial_pairs(fld, n, c, seed=p * 1000 + n),
-            )
             patch.setattr(
                 splitting_oracle,
                 "binomial_degree",
