@@ -6,6 +6,11 @@ detlemma, disc.  Scan-type commands emit the flat row schema
 or JSON; exit code 0 means success/agreement, 1 means a verification failure
 was found, 2 a usage error.
 
+Each ``_cmd_*`` handler only computes: it returns ``(columns, rows, ok)``
+and neither writes nor picks an exit code.  ``_run_command`` checks that
+-o can be written before the handler runs, writes the rows, and exits 0
+when ``ok`` holds and 1 when it does not; a HeisSplitError exits 2.
+
 Batch output with --jobs k is byte-identical to the serial output for the
 same seed: no row depends on scheduling (the master seed is only recorded,
 in the seed column and in the oracle's reports), and rows are emitted in -p
@@ -20,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import DegenerateValueError, HeisSplitError, MalformedSpecError
+from .errors import HeisSplitError, MalformedSpecError
 from .finite_field import Context, is_prime, make_context, power_residue_symbol
 from .heis_arith import (
     a2_value,
@@ -173,28 +178,29 @@ def _parallel_scan(contexts: list[Context], seed: int, jobs: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_symbol(args) -> int:
+def _one_row(row: dict, ok: bool = True) -> tuple:
+    """A single-row command's result: its keys are its columns."""
+    return tuple(row), [row], ok
+
+
+def _cmd_symbol(args):
     ctx = make_context(args.p, args.ell)
     n = power_residue_symbol(ctx, args.a)
-    rows = [{"p": ctx.p, "ell": ctx.ell, "a": args.a % ctx.p, "seed": args.seed, "symbol": n}]
-    _emit(rows, ("p", "ell", "a", "seed", "symbol"), args.format, args.output)
-    return EXIT_OK
+    return _one_row(
+        {"p": ctx.p, "ell": ctx.ell, "a": args.a % ctx.p, "seed": args.seed, "symbol": n}
+    )
 
 
-def _cmd_apoly(args) -> int:
+def _cmd_apoly(args):
     ctx = make_context(args.p, args.ell)
     coeffs = list(expand_a_poly(ctx))
     text = ";".join(map(str, coeffs)) if args.format == "csv" else coeffs
-    rows = [{"p": ctx.p, "ell": ctx.ell, "degree": len(coeffs) - 1, "coeffs": text}]
-    _emit(rows, ("p", "ell", "degree", "coeffs"), args.format, args.output)
-    return EXIT_OK
+    return _one_row({"p": ctx.p, "ell": ctx.ell, "degree": len(coeffs) - 1, "coeffs": text})
 
 
-def _cmd_avalue(args) -> int:
+def _cmd_avalue(args):
     ctx = make_context(args.p, args.ell)
-    a = args.a % ctx.p
-    if a in (0, 1):
-        raise DegenerateValueError("a must avoid {0, 1}")
+    a = ctx.reduce_a(args.a)
     if ctx.ell == 2:
         value = a2_value(ctx, a)
         method = "recurrence"
@@ -207,17 +213,15 @@ def _cmd_avalue(args) -> int:
     else:
         value = a_poly_eval(ctx, a)
         method = "poly"
-    rows = [
+    return _one_row(
         {"p": ctx.p, "ell": ctx.ell, "a": a, "seed": args.seed, "method": method, "value": value}
-    ]
-    _emit(rows, ("p", "ell", "a", "seed", "method", "value"), args.format, args.output)
-    return EXIT_OK
+    )
 
 
-def _cmd_frob(args) -> int:
+def _cmd_frob(args):
     ctx = make_context(args.p, args.ell)
     pred = frobenius_prediction(ctx, args.a)
-    rows = [
+    return _one_row(
         {
             "p": pred.p,
             "ell": pred.ell,
@@ -232,16 +236,10 @@ def _cmd_frob(args) -> int:
             "predicted": pred.predicted_count,
             "class": pred.class_label,
         }
-    ]
-    columns = (
-        "p", "ell", "a", "seed", "e_alpha", "e_beta", "a_ell", "case",
-        "e_central", "central_resolved", "predicted", "class",
     )
-    _emit(rows, columns, args.format, args.output)
-    return EXIT_OK
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args):
     ctx = make_context(args.p, args.ell)
     a = args.a % ctx.p
     if args.mode == "both":
@@ -260,24 +258,18 @@ def _cmd_split(args) -> int:
         else:
             row["oracle_K"] = split_K(ctx, a, args.seed).prime_count
             row["oracle_R"] = split_R(ctx, a, args.seed).prime_count
-    _emit([row], SCAN_COLUMNS, args.format, args.output)
-    return EXIT_FAILURE if row["agree"] is False else EXIT_OK
+    return SCAN_COLUMNS, [row], row["agree"] is not False
 
 
-def _cmd_scan(args) -> int:
-    contexts = _contexts(args.p, args.ell)
-    _check_output(args.output)
-    rows = _parallel_scan(contexts, args.seed, args.jobs)
-    _emit(rows, SCAN_COLUMNS, args.format, args.output)
-    return EXIT_OK if all(r["agree"] for r in rows) else EXIT_FAILURE
+def _cmd_scan(args):
+    rows = _parallel_scan(_contexts(args.p, args.ell), args.seed, args.jobs)
+    return SCAN_COLUMNS, rows, all(r["agree"] for r in rows)
 
 
-def _cmd_verify(args) -> int:
-    contexts = _contexts(args.p, args.ell)
-    _check_output(args.output)
+def _cmd_verify(args):
     rows: list[dict] = []
     failed = False
-    for ctx in contexts:
+    for ctx in _contexts(args.p, args.ell):
         result = verify_theorems_scan(ctx, args.seed)
         rows.extend(scan_rows(result))
         print(
@@ -307,24 +299,20 @@ def _cmd_verify(args) -> int:
                 f"  class {b.label}: observed {b.observed}, expected {b.expected:.2f}",
                 file=sys.stderr,
             )
-    _emit(rows, SCAN_COLUMNS, args.format, args.output)
-    return EXIT_FAILURE if failed else EXIT_OK
+    return SCAN_COLUMNS, rows, not failed
 
 
-def _cmd_stats(args) -> int:
-    contexts = _contexts(args.p, args.ell)
-    _check_output(args.output)
+def _cmd_stats(args):
     rows: list[dict] = []
-    for ctx in contexts:
+    for ctx in _contexts(args.p, args.ell):
         rows.extend(histogram_rows(chebotarev_stats(ctx)))
-    _emit(rows, HISTOGRAM_COLUMNS, args.format, args.output)
-    return EXIT_OK
+    return HISTOGRAM_COLUMNS, rows, True
 
 
-def _cmd_detlemma(args) -> int:
+def _cmd_detlemma(args):
     ctx = make_context(args.p, args.ell)
     report = check_block_det(ctx.field, args.block_size, ctx.ell, args.seed, args.trials)
-    rows = [
+    return _one_row(
         {
             "p": ctx.p,
             "ell": ctx.ell,
@@ -332,16 +320,15 @@ def _cmd_detlemma(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
             "passed": report.passed,
-        }
-    ]
-    _emit(rows, ("p", "ell", "n", "trials", "seed", "passed"), args.format, args.output)
-    return EXIT_OK if report.passed else EXIT_FAILURE
+        },
+        report.passed,
+    )
 
 
-def _cmd_disc(args) -> int:
+def _cmd_disc(args):
     ctx = make_context(args.p, args.ell)
     report = discriminant_ratio_check(ctx, args.a, args.a2, allow_large=args.allow_large_ell)
-    rows = [
+    return _one_row(
         {
             "p": ctx.p,
             "ell": ctx.ell,
@@ -351,11 +338,9 @@ def _cmd_disc(args) -> int:
             "det_nonzero": report.det_nonzero,
             "ratio_ok": report.ratio_ok,
             "passed": report.passed,
-        }
-    ]
-    columns = ("p", "ell", "a", "a2", "seed", "det_nonzero", "ratio_ok", "passed")
-    _emit(rows, columns, args.format, args.output)
-    return EXIT_OK if report.passed else EXIT_FAILURE
+        },
+        report.passed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +518,16 @@ def _run_job_file(path: str, parser: argparse.ArgumentParser) -> int:
 
 
 def _run_command(args, where: str = "") -> int:
-    """Run a parsed command; a HeisSplitError is reported after ``where``."""
+    """Check -o, run the handler, write its rows and map ``ok`` to the exit
+    code; a HeisSplitError is reported after ``where`` and exits 2."""
     try:
-        return args.handler(args)
+        _check_output(args.output)
+        columns, rows, ok = args.handler(args)
+        _emit(rows, columns, args.format, args.output)
     except HeisSplitError as exc:
         print(f"{where}error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 def main(argv: list[str] | None = None) -> int:

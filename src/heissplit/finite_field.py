@@ -52,6 +52,7 @@ from functools import lru_cache
 
 from .errors import (
     DegenerateSpecializationError,
+    DegenerateValueError,
     DivisibilityError,
     NoRootOfUnityError,
     NotPrimeError,
@@ -412,10 +413,10 @@ class Context:
     """Ambient arithmetic data for a prime pair (p, ell) with ell | p - 1.
 
     ``zeta`` has multiplicative order exactly ell mod p.  Construction
-    certifies it: zeta != 1 and zeta^ell = 1, which for prime ell (as
-    ``make_context`` requires) is order ell.  Any other zeta raises
-    NoRootOfUnityError, also under ``python -O``.  ``make_context`` picks
-    zeta = g^((p-1)/ell) for the smallest primitive root g.
+    certifies it: ell is prime (else NotPrimeError), and zeta != 1 and
+    zeta^ell = 1, which for prime ell is order ell (else
+    NoRootOfUnityError), both also under ``python -O``.  ``make_context``
+    picks zeta = g^((p-1)/ell) for the smallest primitive root g.
     """
 
     p: int
@@ -423,10 +424,19 @@ class Context:
     zeta: int
 
     def __post_init__(self):
+        if not is_prime(self.ell):
+            raise NotPrimeError(f"ell = {self.ell} is not prime")
         if self.zeta % self.p == 1 or pow(self.zeta, self.ell, self.p) != 1:
             raise NoRootOfUnityError(
                 f"zeta = {self.zeta} does not have order {self.ell} mod {self.p}"
             )
+
+    def reduce_a(self, a: int) -> int:
+        """a mod p, for a specialization point a, which must avoid {0, 1}."""
+        a %= self.p
+        if a in (0, 1):
+            raise DegenerateValueError("a must avoid {0, 1}")
+        return a
 
     @property
     def field(self) -> PrimeField:

@@ -144,9 +144,7 @@ def a2_value(ctx: Context, a: int) -> int:
     if ctx.ell != 2:
         raise WrongEllError("a2_value requires ell = 2")
     p = ctx.p
-    a %= p
-    if a in (0, 1):
-        raise DegenerateValueError("a must avoid {0, 1}")
+    a = ctx.reduce_a(a)
     val = a2_by_recurrence(p, a, (p - 1) // 2)
     assert val == a2_by_closed_form(ctx, a)
     assert val == packed_a_poly(ctx).evaluate(a)
@@ -227,9 +225,7 @@ def a_ell_value(ctx: Context, a: int) -> int:
     if ctx.ell < 3:
         raise WrongEllError("a_ell_value requires ell >= 3")
     p = ctx.p
-    a %= p
-    if a in (0, 1):
-        raise DegenerateValueError("a must avoid {0, 1}")
+    a = ctx.reduce_a(a)
     if power_residue_symbol(ctx, a) != 0:
         raise NotResidueError(f"{a} is not an ell-th power mod {p}")
     root = lth_root(ctx, a)
@@ -308,9 +304,7 @@ def frobenius_prediction(ctx: Context, a: int) -> FrobPrediction:
     ell^2.
     """
     p, ell = ctx.p, ctx.ell
-    a %= p
-    if a in (0, 1):
-        raise DegenerateValueError("a must avoid {0, 1}")
+    a = ctx.reduce_a(a)
     e_alpha = power_residue_symbol(ctx, a)
     e_beta = power_residue_symbol(ctx, (1 - a) % p)
     both_trivial = e_alpha == 0 and e_beta == 0

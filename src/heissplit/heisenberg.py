@@ -15,7 +15,6 @@ order 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .errors import MixedModulusError, NotPrimeError
@@ -97,29 +96,23 @@ def all_elements(ell: int):
         yield HeisElem(ell, a, b, c)
 
 
-@lru_cache(maxsize=None)
 def conjugacy_classes(ell: int) -> tuple[tuple[HeisElem, ...], ...]:
-    """Complete partition into conjugacy classes, by brute conjugation.
+    """Complete partition into conjugacy classes, from the closed form.
 
-    Classes are ordered by (size, minimal representative); within a class
-    elements are sorted by their exponent triple.
+    Conjugating (a, b, c) by (x, y, z) gives (a, b, c + x b - a y), so the
+    center {(0, 0, c)} splits into ell singletons and every (a, b) != (0, 0)
+    gives the class {(a, b, *)} of size ell.  Classes are ordered by (size,
+    minimal representative); within a class elements are sorted by their
+    exponent triple.
     """
     if not is_prime(ell):
         raise NotPrimeError(f"ell = {ell} is not prime")
-    elems = list(all_elements(ell))
-    seen: set[tuple[int, int, int]] = set()
-    classes = []
-    for g in elems:
-        if g.key() in seen:
-            continue
-        cls = {(h * g * h.inverse()).key() for h in elems}
-        seen |= cls
-        members = tuple(
-            HeisElem(ell, *k) for k in sorted(cls)
-        )
-        classes.append(members)
-    classes.sort(key=lambda cls: (len(cls), cls[0].key()))
-    return tuple(classes)
+    center = tuple((HeisElem(ell, 0, 0, c),) for c in range(ell))
+    return center + tuple(
+        tuple(HeisElem(ell, a, b, c) for c in range(ell))
+        for a, b in product(range(ell), repeat=2)
+        if (a, b) != (0, 0)
+    )
 
 
 def class_label(g: HeisElem) -> str:

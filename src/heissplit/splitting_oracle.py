@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    DegenerateValueError,
     SymbolNotTrivialError,
     WrongEllError,
 )
@@ -127,13 +126,6 @@ def binomial_degree(fld, ell: int, c) -> int:
     return 1 if split else ell
 
 
-def _check_a(ctx: Context, a: int) -> int:
-    a %= ctx.p
-    if a in (0, 1):
-        raise DegenerateValueError("a must avoid {0, 1}")
-    return a
-
-
 # Enough for split_K then split_R at one point; a scan never returns to a
 # point, so a larger cache only holds memory.
 KPRIME_CACHE_SIZE = 8
@@ -179,7 +171,7 @@ def _k_primes(ctx: Context, a: int) -> tuple[_KPrime, ...]:
 
 def split_K(ctx: Context, a: int, seed: int) -> SplitReport:
     """Count primes of the abelian layer K above (t - a), by factorization."""
-    a = _check_a(ctx, a)
+    a = ctx.reduce_a(a)
     primes = _k_primes(ctx, a)
     degrees = tuple(sorted(kp.degree for kp in primes))
     ell = ctx.ell
@@ -207,7 +199,7 @@ def split_K(ctx: Context, a: int, seed: int) -> SplitReport:
 
 def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
     """Count primes of the full degree-ell^3 cover R above (t - a)."""
-    a = _check_a(ctx, a)
+    a = ctx.reduce_a(a)
     ell = ctx.ell
     primes: list[PrimeTrace] = []
     for kp in _k_primes(ctx, a):
@@ -252,7 +244,7 @@ def split_R2_curve(ctx: Context, a: int) -> SplitReport:
     """
     if ctx.ell != 2:
         raise WrongEllError("the curve model applies to ell = 2 only")
-    a = _check_a(ctx, a)
+    a = ctx.reduce_a(a)
     p = ctx.p
     if power_residue_symbol(ctx, a) != 0 or power_residue_symbol(ctx, (1 - a) % p) != 0:
         raise SymbolNotTrivialError("both quadratic symbols must be trivial")

@@ -12,8 +12,8 @@ from pathlib import Path
 import heissplit
 
 PACKAGE_DIR = Path(heissplit.__file__).parent
-# keyed by p, (p, m), the context and ell: one entry per prime or ell in use
-UNBOUNDED = {"prime_field", "build_extension", "packed_a_poly", "conjugacy_classes"}
+# keyed by p, (p, m) and the context: one entry per prime in use
+UNBOUNDED = {"prime_field", "build_extension", "packed_a_poly"}
 
 
 def _name(node) -> str | None:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, job files, parallelism."""
 
+import ast
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -309,11 +311,34 @@ class TestCounts:
         assert captured.out == "p,ell,a,seed,symbol\n7,3,2,271828,2\n"
 
 
+# one run of each command at p = 13, ell = 2
+COMMANDS = {
+    "symbol": ("-p", "13", "-l", "2", "-a", "4"),
+    "apoly": ("-p", "13", "-l", "2"),
+    "avalue": ("-p", "13", "-l", "2", "-a", "4"),
+    "frob": ("-p", "13", "-l", "2", "-a", "4"),
+    "split": ("-p", "13", "-l", "2", "-a", "4"),
+    "scan": ("-p", "13", "-l", "2"),
+    "verify": ("-p", "13", "-l", "2"),
+    "stats": ("-p", "13", "-l", "2"),
+    "detlemma": ("-p", "13", "-l", "2", "--trials", "3"),
+    "disc": ("-p", "13", "-l", "2", "-a", "4", "--a2", "10"),
+}
+SINGLE_ROW = ["symbol", "apoly", "avalue", "frob", "detlemma", "disc"]
+
+# what the handlers compute with; each command calls at least one of them
+WORK = (
+    "power_residue_symbol", "expand_a_poly", "a2_value", "a_ell_value",
+    "a_poly_eval", "frobenius_prediction", "split_K", "split_R", "scan_point",
+    "verify_theorems_scan", "check_block_det", "discriminant_ratio_check",
+    "chebotarev_stats",
+)
+
+
 def _replace_the_work(monkeypatch, fn):
-    """Route the computations of scan, verify and stats through ``fn``."""
-    monkeypatch.setattr(cli, "scan_point", fn)
-    monkeypatch.setattr(verification, "scan_point", fn)
-    monkeypatch.setattr(cli, "chebotarev_stats", fn)
+    """Route the computations of every command through ``fn``."""
+    for name in WORK:
+        monkeypatch.setattr(cli, name, fn)
 
 
 class TestOutputs:
@@ -332,23 +357,24 @@ class TestOutputs:
         assert code == 2 and out == ""
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
-    @pytest.mark.parametrize("command", ["scan", "verify", "stats"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_unwritable_output_fails_before_any_point(self, capsys, monkeypatch,
                                                       tmp_path, command):
-        def no_point(*args):
+        def no_point(*args, **kwargs):
             raise AssertionError("a point was computed")
 
         _replace_the_work(monkeypatch, no_point)
-        code, out, err = run(capsys, command, "-p", "13", "-l", "2", "-o", str(tmp_path))
+        monkeypatch.setattr(cli, "make_context", no_point)
+        code, out, err = run(capsys, command, *COMMANDS[command], "-o", str(tmp_path))
         assert code == 2 and out == ""
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
-    @pytest.mark.parametrize("command", ["scan", "verify", "stats"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_failed_run_leaves_the_output_alone(self, capsys, monkeypatch,
                                                 tmp_path, command):
         # the check opens the target without truncating it, and removes a
         # file that it created, so a run that fails after it writes nothing
-        def failing_point(*args):
+        def failing_point(*args, **kwargs):
             raise DegenerateValueError("injected")
 
         _replace_the_work(monkeypatch, failing_point)
@@ -356,7 +382,7 @@ class TestOutputs:
         old.write_text("kept\n")
         new = tmp_path / "sub" / "new.csv"
         for target in (old, new):
-            code, out, err = run(capsys, command, "-p", "13", "-l", "2", "-o", str(target))
+            code, out, err = run(capsys, command, *COMMANDS[command], "-o", str(target))
             assert code == 2 and out == "" and err == "error: injected\n"
         assert old.read_text() == "kept\n"
         assert not (tmp_path / "sub").exists()
@@ -414,6 +440,19 @@ class TestOutputs:
         assert code == 2
         assert f"error: cannot write {tmp_path}" in captured.err
         assert captured.out == "p,ell,a,seed,symbol\n7,3,2,271828,2\n"
+
+    @pytest.mark.parametrize("command", SINGLE_ROW)
+    def test_csv_header_is_the_json_keys(self, capsys, command):
+        _, csv_out, _ = run(capsys, command, *COMMANDS[command])
+        _, json_out, _ = run(capsys, command, *COMMANDS[command], "--format", "json")
+        header = csv_out.splitlines()[0].split(",")
+        (row,) = json.loads(json_out)
+        assert header == list(row)
+
+    def test_empty_scan_prints_the_header(self, capsys):
+        # no admissible a at p = 3, ell = 2: the columns still name the schema
+        code, out, _ = run(capsys, "scan", "-p", "3", "-l", "2")
+        assert (code, out) == (0, ",".join(verification.SCAN_COLUMNS) + "\n")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "scan", "-p", "13", "-l", "2",
@@ -547,3 +586,55 @@ class TestDeterminism:
                      "--jobs", "2", "-o", str(parallel)]) == 0
         assert serial.read_text().splitlines()[1].startswith("29,")
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Handler contract: the handlers compute rows, and only the runner checks
+# -o, writes and picks the exit code
+# ---------------------------------------------------------------------------
+
+RUNNER_NAMES = {"_emit", "_check_output"}
+
+
+def runner_names_in_handlers(source: str) -> dict[str, set[str]]:
+    """For each ``_cmd_*`` function, the runner's names that it mentions:
+    ``_emit``, ``_check_output``, ``args.output`` and any ``EXIT_*``."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")):
+            continue
+        names = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and (
+                sub.id in RUNNER_NAMES or sub.id.startswith("EXIT_")
+            ):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and sub.attr == "output":
+                names.add(f"{ast.unparse(sub.value)}.output")
+        if names:
+            found[node.name] = names
+    return found
+
+
+def test_handlers_leave_output_and_exit_codes_to_the_runner():
+    source = Path(cli.__file__).read_text()
+    # every handler has a run in COMMANDS, so the -o tests cover it
+    handlers = {name for name in vars(cli) if name.startswith("_cmd_")}
+    assert handlers == {f"_cmd_{command}" for command in COMMANDS}
+    assert runner_names_in_handlers(source) == {}
+
+
+def test_handler_guard_sees_each_name():
+    source = "\n".join([
+        "def _cmd_a(args):\n    _emit([], (), 'csv', None)",
+        "def _cmd_b(args):\n    _check_output(None)",
+        "def _cmd_c(args):\n    return EXIT_FAILURE",
+        "def _cmd_d(args):\n    print(args.output)",
+        "def _run(args):\n    _check_output(args.output)\n    return EXIT_OK",
+    ])
+    assert runner_names_in_handlers(source) == {
+        "_cmd_a": {"_emit"},
+        "_cmd_b": {"_check_output"},
+        "_cmd_c": {"EXIT_FAILURE"},
+        "_cmd_d": {"args.output"},
+    }

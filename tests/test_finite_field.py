@@ -169,6 +169,25 @@ class TestMakeContext:
         with pytest.raises(NotPrimeError):
             make_context(13, 4)
 
+    def test_context_refuses_a_composite_ell(self):
+        # 12 has order 2 mod 13, so 12^4 = 1 would pass the zeta check alone
+        with pytest.raises(NotPrimeError, match=r"^ell = 4 is not prime$"):
+            Context(13, 4, 12)
+        with pytest.raises(NotPrimeError, match=r"^ell = 1 is not prime$"):
+            Context(13, 1, 5)
+
+    def test_make_context_errors_keep_their_order(self):
+        # p is checked before ell, and ell's primality before ell | p - 1
+        for (p, ell), error, message in [
+            ((15, 4), NotPrimeError, "p = 15 is not prime"),
+            ((13, 9), NotPrimeError, "ell = 9 is not prime"),
+            ((13, 4), NotPrimeError, "ell = 4 is not prime"),
+            ((13, 5), DivisibilityError, "ell = 5 does not divide p - 1 = 12"),
+        ]:
+            with pytest.raises(error) as exc:
+                make_context(p, ell)
+            assert str(exc.value) == message
+
     def test_prime_past_the_bound(self):
         # 2^31 + 11 is prime: the contract bound, not primality, rejects it
         assert is_prime(2147483659)

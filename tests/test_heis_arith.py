@@ -245,11 +245,12 @@ class TestExpandAPoly:
             expand_a_poly(C13)
 
     def test_checks_hold_under_dash_O(self):
-        # the zeta certificate and the size cap are explicit raises, so
-        # they hold with asserts stripped
+        # the zeta and ell certificates and the size cap are explicit
+        # raises, so they hold with asserts stripped
         script = "\n".join([
             "import dataclasses, sys",
-            "from heissplit import ExpansionTooLargeError, NoRootOfUnityError",
+            "from heissplit import Context, ExpansionTooLargeError, NoRootOfUnityError",
+            "from heissplit import NotPrimeError",
             "from heissplit import expand_a_poly, make_context",
             "from heissplit.finite_field import prime_field",
             "from reference_factor import Poly",
@@ -264,6 +265,12 @@ class TestExpandAPoly:
                 try:
                     dataclasses.replace(make_context(13, 3), zeta=2)
                 except NoRootOfUnityError:
+                    pass
+                else:
+                    sys.exit(1)
+                try:
+                    Context(13, 4, 12)
+                except NotPrimeError:
                     pass
                 else:
                     sys.exit(1)

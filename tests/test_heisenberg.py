@@ -102,6 +102,22 @@ class TestOrders:
             assert element_order(g) in (1, 2, 4)
 
 
+def brute_conjugacy_classes(ell: int) -> tuple[tuple[HeisElem, ...], ...]:
+    """Reference partition: conjugate each element by the whole group.
+    Classes ordered by (size, minimal representative), members by key."""
+    elems = list(all_elements(ell))
+    seen: set[tuple[int, int, int]] = set()
+    classes = []
+    for g in elems:
+        if g.key() in seen:
+            continue
+        cls = {(h * g * h.inverse()).key() for h in elems}
+        seen |= cls
+        classes.append(tuple(HeisElem(ell, *k) for k in sorted(cls)))
+    classes.sort(key=lambda cls: (len(cls), cls[0].key()))
+    return tuple(classes)
+
+
 class TestConjugacyClasses:
     def test_ell_2_sizes(self):
         classes = conjugacy_classes(2)
@@ -137,12 +153,9 @@ class TestConjugacyClasses:
         assert all(c[0].is_central for c in singles)
 
     def test_classes_closed_under_conjugation(self):
-        for ell in (2, 3):
-            elems = list(all_elements(ell))
-            for cls in conjugacy_classes(ell):
-                members = set(g.key() for g in cls)
-                g = cls[0]
-                assert {(h * g * h.inverse()).key() for h in elems} == members
+        # the closed form against the reference, class by class and in order
+        for ell in (2, 3, 5, 7):
+            assert conjugacy_classes(ell) == brute_conjugacy_classes(ell)
 
     def test_rejects_composite(self):
         with pytest.raises(NotPrimeError):
