@@ -44,8 +44,8 @@ class DegenerateValueError(HeisSplitError):
 
 
 class NonPositiveCountError(HeisSplitError):
-    """A size or count that must be at least 1 (a block size, a number of
-    trials) is below 1."""
+    """A size or count below its least value: a block size or a number of
+    trials below 1, or a recurrence index below 0."""
 
 
 class NotResidueError(HeisSplitError):

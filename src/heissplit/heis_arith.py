@@ -37,7 +37,9 @@ from functools import lru_cache
 from .errors import (
     DegenerateValueError,
     ExpansionTooLargeError,
+    NonPositiveCountError,
     NotResidueError,
+    SymbolNotTrivialError,
     WrongEllError,
 )
 from .finite_field import (
@@ -99,9 +101,12 @@ def _mat2_pow(m, n: int, p: int):
 def a2_by_recurrence(p: int, a: int, index: int) -> int:
     """x_index for x_{n+1} = 2 x_n + (a - 1) x_{n-1}, x_0 = x_1 = 1, mod p.
 
-    Logarithmic time via a 2x2 matrix power.  Defined for every a in F_p;
-    x_p = 1 identically.
+    Logarithmic time via a 2x2 matrix power.  Defined for every a in F_p
+    and every index >= 0; x_p = 1 identically.  A negative index raises
+    NonPositiveCountError.
     """
+    if index < 0:
+        raise NonPositiveCountError(f"recurrence index {index} is negative")
     a %= p
     if index == 0:
         return 1 % p
@@ -215,12 +220,13 @@ def a_poly_eval(ctx: Context, a: int) -> int:
 def a_ell_value(ctx: Context, a: int) -> int:
     """A_ell(a) for ell >= 3 via eps_0(a)^((p-1)/ell) at the canonical root.
 
-    Requires a to be an ell-th power residue.  When 1 - a is also a residue
-    the value is independent of the root choice, hence the average of all
-    shifted values, and equals the polynomial's value; both facts are
-    asserted.  (When 1 - a is a non-residue the shifted powers differ by
-    powers of zeta and only the polynomial evaluation computes A_ell(a)
-    itself.)
+    Requires both a and 1 - a to be ell-th power residues: it raises
+    NotResidueError when a is not one and SymbolNotTrivialError when
+    1 - a is not.  Then the value is independent of the root choice, hence
+    the average of all shifted values, and equals the polynomial's value;
+    both facts are asserted.  (When 1 - a is a non-residue the shifted
+    powers differ by powers of zeta and only the polynomial evaluation,
+    ``a_poly_eval``, computes A_ell(a).)
     """
     if ctx.ell < 3:
         raise WrongEllError("a_ell_value requires ell >= 3")
@@ -228,16 +234,17 @@ def a_ell_value(ctx: Context, a: int) -> int:
     a = ctx.reduce_a(a)
     if power_residue_symbol(ctx, a) != 0:
         raise NotResidueError(f"{a} is not an ell-th power mod {p}")
+    if power_residue_symbol(ctx, (1 - a) % p) != 0:
+        raise SymbolNotTrivialError(f"1 - {a} is not an ell-th power mod {p}")
     root = lth_root(ctx, a)
     exp = ctx.cofactor
     shifted = [
         pow(epsilon_value(ctx, root, shift=n), exp, p) for n in range(ctx.ell)
     ]
     val = shifted[0]
-    if power_residue_symbol(ctx, (1 - a) % p) == 0:
-        # root choice cannot matter here: shifting the root by zeta shifts n
-        assert all(v == val for v in shifted)
-        assert val == a_poly_eval(ctx, a)
+    # root choice cannot matter here: shifting the root by zeta shifts n
+    assert all(v == val for v in shifted)
+    assert val == a_poly_eval(ctx, a)
     return val
 
 

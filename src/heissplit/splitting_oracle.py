@@ -5,7 +5,10 @@ an ell-th root v of 1 - t; its maximal order is F_p[t][u, v], so the residue
 algebra at (t - a) is F_p[u, v] / (u^ell - a, v^ell - (1 - a)).  ``split_K``
 factors it directly: one prime of K per pair (irreducible factor of
 u^ell - a over F_p, irreducible factor of v^ell - (1 - a) over the residue
-field of the first factor).
+field of the first factor).  K and R are Galois over F_p(t), so the primes
+above (t - a) at each level are conjugate and share one residue degree f;
+a ``SplitReport`` holds the residue degree of each prime and nothing else,
+and its prime count is their number, ell^2/f or ell^3/f.
 
 Every polynomial factored here is a binomial x^ell - c over a field
 F_q = F_{p^m} with ell | p - 1 (zeta lies in F_p): ell linear factors when
@@ -65,22 +68,13 @@ from .finite_field import (
 
 
 @dataclass(frozen=True)
-class PrimeTrace:
-    """Which factor pair/triple produced one prime, and its residue degree."""
-
-    u_index: int
-    v_index: int
-    z_index: int | None
-    degree: int
-
-
-@dataclass(frozen=True)
 class SplitReport:
-    """Oracle output: prime count and residue degrees at one level.
+    """Oracle output: the residue degree of each prime at one level.
 
-    ``level`` is "K" (degree ell^2) or "R" (degree ell^3); the residue
-    degrees sum to that degree since (t - a) is unramified for a not in
-    {0, 1}.
+    ``level`` is "K" (degree ell^2) or "R" (degree ell^3).  The primes
+    above (t - a) are conjugate, so they share one residue degree f, and
+    since (t - a) is unramified for a not in {0, 1} the degrees sum to
+    the level's degree: there are ell^2/f or ell^3/f of them.
     """
 
     level: str
@@ -88,9 +82,11 @@ class SplitReport:
     ell: int
     a: int
     seed: int
-    prime_count: int
     residue_degrees: tuple[int, ...]
-    traces: tuple[PrimeTrace, ...]
+
+    @property
+    def prime_count(self) -> int:
+        return len(self.residue_degrees)
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,6 @@ class _KPrime:
     field: object
     x_image: object  # image of u in the residue field
     degree: int
-    u_index: int
-    v_index: int
 
 
 def binomial_degree(fld, ell: int, c) -> int:
@@ -162,18 +156,14 @@ def _k_primes(ctx: Context, a: int) -> tuple[_KPrime, ...]:
         xs = [fld.embed(x) for x in xs]
     # one K-prime per (u-root, v-factor): ell of degree m per u-root, or
     # one of degree ell
-    return tuple(
-        _KPrime(fld, x, m * d, iu, iv)
-        for iu, x in enumerate(xs)
-        for iv in range(ell // d)
-    )
+    return tuple(_KPrime(fld, x, m * d) for x in xs for _ in range(ell // d))
 
 
 def split_K(ctx: Context, a: int, seed: int) -> SplitReport:
     """Count primes of the abelian layer K above (t - a), by factorization."""
     a = ctx.reduce_a(a)
     primes = _k_primes(ctx, a)
-    degrees = tuple(sorted(kp.degree for kp in primes))
+    degrees = tuple(kp.degree for kp in primes)
     ell = ctx.ell
     assert sum(degrees) == ell * ell, "residue degrees must sum to ell^2"
     assert len(set(degrees)) == 1, "conjugate primes share the residue degree"
@@ -182,26 +172,14 @@ def split_K(ctx: Context, a: int, seed: int) -> SplitReport:
     if power_residue_symbol(ctx, a) != 0 or power_residue_symbol(ctx, (1 - a) % ctx.p) != 0:
         sym_order = ell
     assert len(primes) * sym_order == ell * ell
-    traces = tuple(
-        PrimeTrace(kp.u_index, kp.v_index, None, kp.degree) for kp in primes
-    )
-    return SplitReport(
-        level="K",
-        p=ctx.p,
-        ell=ell,
-        a=a,
-        seed=seed,
-        prime_count=len(primes),
-        residue_degrees=degrees,
-        traces=traces,
-    )
+    return SplitReport(level="K", p=ctx.p, ell=ell, a=a, seed=seed, residue_degrees=degrees)
 
 
 def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
     """Count primes of the full degree-ell^3 cover R above (t - a)."""
     a = ctx.reduce_a(a)
     ell = ctx.ell
-    primes: list[PrimeTrace] = []
+    degrees: list[int] = []
     for kp in _k_primes(ctx, a):
         fld = kp.field
         eps = epsilon_value(ctx, kp.x_image, field=fld)
@@ -213,22 +191,10 @@ def split_R(ctx: Context, a: int, seed: int) -> SplitReport:
         ratio = fld.mul(eps1, fld.inv(eps))
         assert pow(fld.norm(ratio), ctx.cofactor, ctx.p) == 1
         d = binomial_degree(fld, ell, eps)
-        primes.extend(
-            PrimeTrace(kp.u_index, kp.v_index, iz, kp.degree * d) for iz in range(ell // d)
-        )
-    degrees = tuple(sorted(t.degree for t in primes))
+        degrees += [kp.degree * d] * (ell // d)
     assert sum(degrees) == ell**3, "residue degrees must sum to ell^3"
     assert len(set(degrees)) == 1, "conjugate primes share the residue degree"
-    return SplitReport(
-        level="R",
-        p=ctx.p,
-        ell=ell,
-        a=a,
-        seed=seed,
-        prime_count=len(primes),
-        residue_degrees=degrees,
-        traces=tuple(primes),
-    )
+    return SplitReport(level="R", p=ctx.p, ell=ell, a=a, seed=seed, residue_degrees=tuple(degrees))
 
 
 def split_R2_curve(ctx: Context, a: int) -> SplitReport:
@@ -239,8 +205,10 @@ def split_R2_curve(ctx: Context, a: int) -> SplitReport:
     y-choice ys the fiber is cut out by 1 - U^2 = xs, U V = ys.  It consists
     of two rational points when 1 - xs is a square mod p and of one closed
     point of degree two otherwise (ramification is impossible away from
-    t in {0, 1, infinity}).  Requires both quadratic symbols trivial, the
-    regime where the base points are rational.
+    t in {0, 1, infinity}).  The answer does not depend on ys, so no square
+    root of 1 - a is taken: each x-choice stands for its two base points.
+    Requires both quadratic symbols trivial, the regime where the base
+    points are rational.
     """
     if ctx.ell != 2:
         raise WrongEllError("the curve model applies to ell = 2 only")
@@ -249,25 +217,10 @@ def split_R2_curve(ctx: Context, a: int) -> SplitReport:
     if power_residue_symbol(ctx, a) != 0 or power_residue_symbol(ctx, (1 - a) % p) != 0:
         raise SymbolNotTrivialError("both quadratic symbols must be trivial")
     x = lth_root(ctx, a)
-    y = lth_root(ctx, (1 - a) % p)
-    traces = []
-    for ix, xs in enumerate((x, p - x)):
-        for iy, _ys in enumerate((y, p - y)):
-            w = (1 - xs) % p
-            assert w != 0, "1 - xs = 0 forces a = 1"
-            if pow(w, (p - 1) // 2, p) == 1:
-                traces.append(PrimeTrace(ix, iy, 0, 1))
-                traces.append(PrimeTrace(ix, iy, 1, 1))
-            else:
-                traces.append(PrimeTrace(ix, iy, 0, 2))
-    degrees = tuple(sorted(t.degree for t in traces))
-    return SplitReport(
-        level="R",
-        p=p,
-        ell=2,
-        a=a,
-        seed=0,
-        prime_count=len(traces),
-        residue_degrees=degrees,
-        traces=tuple(traces),
-    )
+    degrees: list[int] = []
+    for xs in (x, p - x):
+        w = (1 - xs) % p
+        assert w != 0, "1 - xs = 0 forces a = 1"
+        # the fibers above the two base points with this x-choice
+        degrees += ([1, 1] if pow(w, (p - 1) // 2, p) == 1 else [2]) * 2
+    return SplitReport(level="R", p=p, ell=2, a=a, seed=0, residue_degrees=tuple(sorted(degrees)))

@@ -17,7 +17,9 @@ from heissplit import (
     DegenerateValueError,
     ExpansionTooLargeError,
     NoRootOfUnityError,
+    NonPositiveCountError,
     NotResidueError,
+    SymbolNotTrivialError,
     WrongEllError,
     ZeroArgumentError,
     a2_value,
@@ -141,6 +143,11 @@ class TestA2Value:
         for p in (5, 13, 199):
             for a in range(p):
                 assert a2_by_recurrence(p, a, p) == 1
+
+    def test_recurrence_rejects_a_negative_index(self):
+        # the matrix power would halve -1 forever
+        with pytest.raises(NonPositiveCountError):
+            a2_by_recurrence(13, 4, -1)
 
     def test_recurrence_matches_naive_iteration(self):
         for p in (5, 13, 31):
@@ -365,7 +372,7 @@ class TestWholeTable:
 class TestAEllValue:
     def test_examples(self):
         assert a_ell_value(C31, 2) == 1  # 4^10 = 1 mod 31
-        assert a_ell_value(C7, 6) == 2  # 4^2 = 2 mod 7
+        assert a_ell_value(make_context(19, 3), 8) == 7  # 5^6 = 7 mod 19
 
     def test_rejects_ell_2(self):
         with pytest.raises(WrongEllError):
@@ -405,9 +412,20 @@ class TestAEllValue:
                     continue
                 assert a_ell_value(ctx, a) == a_poly_eval(ctx, a)
 
+    @pytest.mark.parametrize("p,ell,a", [(7, 3, 6), (31, 3, 4), (61, 5, 21)])
+    def test_rejects_non_residue_one_minus_a(self, p, ell, a):
+        # a is an ell-th power and 1 - a is not, so the shifted powers
+        # differ and eps_0(r)^((p-1)/ell) is not A_ell(a), which is 0 here
+        ctx = make_context(p, ell)
+        assert power_residue_symbol(ctx, a) == 0
+        assert power_residue_symbol(ctx, (1 - a) % p) != 0
+        assert a_poly_eval(ctx, a) == 0
+        with pytest.raises(SymbolNotTrivialError):
+            a_ell_value(ctx, a)
+
     def test_value_is_ell_th_root_of_unity(self):
         for a in range(2, 31):
-            if power_residue_symbol(C31, a) == 0:
+            if power_residue_symbol(C31, a) == 0 and power_residue_symbol(C31, (1 - a) % 31) == 0:
                 assert pow(a_ell_value(C31, a), 3, 31) == 1
 
 

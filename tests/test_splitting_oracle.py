@@ -115,13 +115,6 @@ class TestSplitR:
         a, seed = 5, 31337
         assert split_R(C31, a, seed) == split_R(C31, a, seed)
 
-    def test_trace_indices_consistent(self):
-        rep = split_R(C13, 4, seed=1)
-        assert len(rep.traces) == rep.prime_count
-        for t in rep.traces:
-            assert t.z_index is not None
-            assert t.degree in rep.residue_degrees
-
 
 class TestCurveModel:
     def test_example_13_2_4(self):
@@ -150,9 +143,7 @@ class TestCurveModel:
             if power_residue_symbol(ctx, (1 - a) % p) != 0:
                 continue
             curve = split_R2_curve(ctx, a)
-            oracle = split_R(ctx, a, seed=2)
-            assert curve.prime_count == oracle.prime_count
-            assert curve.residue_degrees == oracle.residue_degrees
+            assert curve == split_R(ctx, a, 0)
             assert sum(curve.residue_degrees) == 8
 
 
@@ -177,24 +168,55 @@ SCAN_GRIDS = {
 # sha256 of the concatenated repr(scan_point(make_context(p, ell), a, 7))
 # over SCAN_GRIDS[ell], p ascending, then every admissible a in order
 GOLDEN_DIGESTS = {
-    2: "661d4683f287d64bdba0a528e8f756bcd9875fa5754f268bb1962301a32722cd",
-    3: "22129ec847b272b4cd8630bfda4e81b065ca134a36f8daf254684665592c4ace",
-    5: "81b147f31a757d9cb65ed41b26c733526ec3019c5385bff667f7690a7bbc72f7",
-    7: "a6cfa140364c40ee2cd93ce962226143f394469140a241867687f2ebcf07b5a5",
-    11: "dbbfe1bccd95f45bd2babff393a93a506afbd20b7cb0b2c1a38b6066867bc902",
+    2: "5b4ec1895c6e59982b7494e85a1674a527eae0287d1eb324e598115bd61c194a",
+    3: "27ba4847df190520c02e6f7318304f7ed075d550952c7917692c1e0eb9625bb6",
+    5: "7ca330667ef76500aeeacd0c57cafc1bf7392688f9bae8e07a1103a83273fbe6",
+    7: "eba089ab15404e418c99a6f1ee9851297d91096e3c753ff4eb0a08ad6ce7c1eb",
+    11: "a2c7f92d25ca5bd8ce6a9276a208545bbf8f4ef12f9cf22e28d9100b888c0ad7",
 }
+
+
+# sha256 over the same points of the computed facts alone,
+# repr((a, prediction, K count, K degrees, R count, R degrees, agree,
+# bound_ok)): they do not depend on the shape of the reports, so a change
+# to that shape re-pins GOLDEN_DIGESTS while these show that no fact moved
+SCAN_FACT_DIGESTS = {
+    2: "2f3f568f4d1556f921a9df01e3bb3a7449a094e4e2baf7cfae56a111a14dc93e",
+    3: "c03af350d624dc1d7848c2feec406f4a3d1e993f53737c1449e0cd0285156ad6",
+    5: "162c577680ff8adef5801a93066a5ada3ccdd7526813a634965b1811574884d8",
+    7: "a29ec1222040394c5ef7b7714bf2eaf13153d9397d144c69a6184bb59362c67e",
+    11: "92e57cef4b0918cde709382eb30eee27c0f9111db14c5a583f00f0eb6d65bfa6",
+}
+
+
+@functools.cache
+def _scan_digests(ell: int) -> tuple[str, str]:
+    """(full repr digest, fact digest) of the SCAN_GRIDS[ell] scan, seed 7."""
+    full, facts = hashlib.sha256(), hashlib.sha256()
+    for p in SCAN_GRIDS[ell]:
+        ctx = make_context(p, ell)
+        for a in admissible_values(ctx):
+            rec = scan_point(ctx, a, 7)
+            full.update(repr(rec).encode())
+            k, r = rec.oracle_K, rec.oracle_R
+            fact = (
+                rec.a, rec.prediction, k.prime_count, k.residue_degrees,
+                r.prime_count, r.residue_degrees, rec.agree, rec.bound_ok,
+            )
+            facts.update(repr(fact).encode())
+    return full.hexdigest(), facts.hexdigest()
 
 
 @pytest.mark.parametrize("ell", sorted(GOLDEN_DIGESTS))
 def test_scan_points_match_golden_digest(ell):
-    # every field of every report, traces and seed included, is pinned:
-    # a refactor of the oracle or the prediction must leave them all alone
-    digest = hashlib.sha256()
-    for p in SCAN_GRIDS[ell]:
-        ctx = make_context(p, ell)
-        for a in admissible_values(ctx):
-            digest.update(repr(scan_point(ctx, a, 7)).encode())
-    assert digest.hexdigest() == GOLDEN_DIGESTS[ell]
+    # every field of every report, seed included, is pinned: a refactor of
+    # the oracle or the prediction must leave them all alone
+    assert _scan_digests(ell)[0] == GOLDEN_DIGESTS[ell]
+
+
+@pytest.mark.parametrize("ell", sorted(SCAN_FACT_DIGESTS))
+def test_scan_facts_match_pinned_digest(ell):
+    assert _scan_digests(ell)[1] == SCAN_FACT_DIGESTS[ell]
 
 
 # finite_field.ExtField.mul calls per ell over SCAN_GRIDS, every cache
@@ -307,7 +329,7 @@ class TestEngines:
     @pytest.mark.parametrize("p,ell", list(_generic_points()))
     def test_reports_equal_generic_engine(self, monkeypatch, p, ell):
         # the binomial engine must reproduce the generic Cantor-Zassenhaus
-        # path report for report, traces included
+        # path report for report, every residue degree included
         ctx = make_context(p, ell)
         values = admissible_values(ctx)
         splitting_oracle._k_primes.cache_clear()
